@@ -1,0 +1,13 @@
+"""Make the benchmark modules and the ``repro`` sources importable.
+
+Run from the checkout root: ``python -m pytest perfbench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+ROOT = BENCH.parent
+for path in (ROOT / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
