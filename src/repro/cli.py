@@ -973,6 +973,13 @@ def _render_top(response: dict) -> str:
                 f"certified={rsg.get('certified')} "
                 f"rejected={rsg.get('rejected')}"
             )
+            lines.append(
+                f"  window retired={rsg.get('retired')} "
+                f"compactions={rsg.get('compactions')} "
+                f"forgets={rsg.get('forgets')} "
+                f"replayed={rsg.get('replayed')} "
+                f"fallback_rebuilds={rsg.get('fallback_rebuilds')}"
+            )
     return "\n".join(lines)
 
 

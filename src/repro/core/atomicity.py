@@ -116,6 +116,25 @@ class Atomicity:
         for unit in self._units:
             self._unit_of_index.extend([unit] * unit.size)
 
+    def relative_to(self, observer: int) -> "Atomicity":
+        """The same partition of ``Ti`` seen by another observer.
+
+        O(1): the copy shares this view's breakpoints, unit tuple and
+        index lookup (units carry no observer), which is how a spec
+        derives every view of a transaction from one template.
+        """
+        if observer == self._observer:
+            return self
+        if observer == self._tx:
+            raise InvalidSpecError(
+                f"Atomicity(T{observer}, T{observer}) is not defined for a "
+                "transaction relative to itself"
+            )
+        view = object.__new__(Atomicity)
+        view.__dict__.update(self.__dict__)
+        view._observer = observer
+        return view
+
     def _build_units(self) -> tuple[AtomicUnit, ...]:
         cuts = sorted(self._breakpoints)
         starts = [0] + cuts
@@ -252,11 +271,16 @@ class RelativeAtomicitySpec:
         views: Mapping[tuple[int, int], "Atomicity | Iterable[int] | str"] | None = None,
     ) -> None:
         self._transactions = as_transaction_map(transactions)
+        # Explicit views only (construction-time ``views``); every other
+        # pair derives its view from the per-transaction template.
         self._views: dict[tuple[int, int], Atomicity] = {}
         # Per-transaction breakpoint sets recorded by declare_transaction
-        # (the service's interactive growth path); used to materialize
-        # views against observers that arrive later.
+        # (the service's interactive growth path); they apply against
+        # every observer, whenever it arrives.
         self._declared_cuts: dict[int, tuple[int, ...]] = {}
+        # tx_id -> the first derived view of that transaction; the view
+        # for any other observer is an O(1) ``relative_to`` copy of it.
+        self._templates: dict[int, Atomicity] = {}
         for (tx, observer), value in (views or {}).items():
             self._set_view(tx, observer, value)
 
@@ -269,12 +293,15 @@ class RelativeAtomicitySpec:
         their program (and optionally the breakpoints they expose) at
         ``begin`` time, long after the spec object was created.  The new
         transaction's ``cuts`` become its atomicity relative to *every*
-        other transaction — current and future: cut sets recorded here
-        are replayed against observers declared later, so the pairwise
-        views are independent of arrival order.
+        other transaction, current and future; views of the others
+        relative to it keep whatever those others declared (absolute for
+        construction-time transactions), so the pairwise views are
+        independent of arrival order.
 
-        Pairs left untouched keep the lazy default (absolute atomicity),
-        exactly as with construction-time views.
+        O(1) in the size of the spec: only the transaction and its cuts
+        are recorded.  Each pair's view is derived on demand by
+        :meth:`atomicity` from a per-transaction template, so no
+        per-pair state is stored for declared transactions.
 
         Raises:
             InvalidSpecError: on a duplicate id or an out-of-range cut.
@@ -291,15 +318,9 @@ class RelativeAtomicitySpec:
                     f"breakpoint {cut} of T{tx_id} is outside "
                     f"1..{len(transaction) - 1}"
                 )
-        others = list(self._transactions)
         self._transactions[tx_id] = transaction
-        self._declared_cuts[tx_id] = cut_list
-        for other in others:
-            if cut_list:
-                self._set_view(tx_id, other, cut_list)
-            other_cuts = self._declared_cuts.get(other)
-            if other_cuts:
-                self._set_view(other, tx_id, other_cuts)
+        if cut_list:
+            self._declared_cuts[tx_id] = cut_list
 
     def declared_cuts(self, tx_id: int) -> tuple[int, ...]:
         """The breakpoints recorded for ``T{tx_id}`` at declaration
@@ -348,7 +369,15 @@ class RelativeAtomicitySpec:
         return [self._transactions[tx_id] for tx_id in sorted(self._transactions)]
 
     def atomicity(self, tx: int, observer: int) -> Atomicity:
-        """``Atomicity(T{tx}, T{observer})`` (defaulting to absolute)."""
+        """``Atomicity(T{tx}, T{observer})``.
+
+        An explicit view when one was given; otherwise ``T{tx}``'s
+        declared cuts (absolute when it declared none), derived in O(1)
+        from the transaction's template and not stored per pair.
+        """
+        view = self._views.get((tx, observer))
+        if view is not None:
+            return view
         if tx == observer:
             raise InvalidSpecError(
                 f"Atomicity(T{tx}, T{observer}) relative to itself is invalid"
@@ -357,11 +386,16 @@ class RelativeAtomicitySpec:
             raise MissingSpecError(f"unknown transaction T{tx}")
         if observer not in self._transactions:
             raise MissingSpecError(f"unknown observer T{observer}")
-        view = self._views.get((tx, observer))
-        if view is None:
-            view = Atomicity(tx, observer, len(self._transactions[tx]))
-            self._views[(tx, observer)] = view
-        return view
+        template = self._templates.get(tx)
+        if template is None:
+            template = self._templates[tx] = Atomicity(
+                tx,
+                observer,
+                len(self._transactions[tx]),
+                self._declared_cuts.get(tx, ()),
+            )
+            return template
+        return template.relative_to(observer)
 
     def units(self, tx: int, observer: int) -> tuple[AtomicUnit, ...]:
         """The atomic units of ``T{tx}`` relative to ``T{observer}``."""
@@ -394,8 +428,10 @@ class RelativeAtomicitySpec:
     def restricted_to(self, tx_ids: Iterable[int]) -> "RelativeAtomicitySpec":
         """The spec induced on a subset of the transactions.
 
-        Views between surviving pairs are kept verbatim; views involving
-        a dropped transaction disappear with it.  This is how the fault
+        Views between surviving pairs are kept verbatim (explicit views
+        are copied, declared cuts carried over), so every surviving
+        pair's view is the same as in this spec; views involving a
+        dropped transaction disappear with it.  This is how the fault
         campaigns certify a *committed projection*: the survivors'
         mutual atomicity requirements are unchanged by other
         transactions' aborts.
@@ -413,7 +449,13 @@ class RelativeAtomicitySpec:
             for (tx, observer), view in self._views.items()
             if tx in keep and observer in keep
         }
-        return RelativeAtomicitySpec(transactions, views)
+        restricted = RelativeAtomicitySpec(transactions, views)
+        restricted._declared_cuts = {
+            tx_id: cuts
+            for tx_id, cuts in self._declared_cuts.items()
+            if tx_id in keep
+        }
+        return restricted
 
     @property
     def is_absolute(self) -> bool:

@@ -333,6 +333,14 @@ class AltruisticLockingScheduler(Scheduler):
                     del by_donor[donor]
         self._prune_taint()
 
+    def _on_discard(self, tx_id: int) -> None:
+        self._last_use.pop(tx_id, None)
+        self._access_set.pop(tx_id, None)
+        # Parked waiters must not keep a gone transaction as a blocker
+        # (see TwoPhaseLockingScheduler._on_discard).
+        for blockers in self._waiting_on.values():
+            blockers.discard(tx_id)
+
     def _drop_taint_donor(self, tx_id: int) -> None:
         for by_donor in self._taint.values():
             by_donor.pop(tx_id, None)

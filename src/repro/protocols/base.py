@@ -17,6 +17,7 @@ Lifecycle, as driven by :mod:`repro.sim`::
                        | ABORT (victims must restart)
     finish(tx_id)      the transaction executed its last op; commit it
     remove(tx_id)      forget a victim's executed operations (restart)
+    discard(tx_id)     remove a transaction for good (it never restarts)
 """
 
 from __future__ import annotations
@@ -263,6 +264,19 @@ class Scheduler(abc.ABC):
         state.restarts += 1
         self._on_remove(tx_id)
 
+    def discard(self, tx_id: int) -> None:
+        """Remove an uncommitted transaction for good.
+
+        :meth:`remove` keeps the victim admitted so that it can restart;
+        a transaction that will never run again (an aborted service
+        session) goes through here instead, which also drops its
+        admission and any per-transaction protocol state, so nothing
+        of it outlives the abort.
+        """
+        self.remove(tx_id)
+        del self._admitted[tx_id]
+        self._on_discard(tx_id)
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -399,3 +413,6 @@ class Scheduler(abc.ABC):
 
     def _on_remove(self, tx_id: int) -> None:
         """Called after a victim's executed state was dropped (optional)."""
+
+    def _on_discard(self, tx_id: int) -> None:
+        """Called after :meth:`discard` dropped the admission (optional)."""

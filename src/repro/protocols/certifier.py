@@ -23,12 +23,27 @@ already held acyclically, so re-pushing them cannot close a cycle.  A
 from-scratch :meth:`RsgCertifier.rebuild` is kept purely as a defensive
 fallback (and for tests); :attr:`RsgCertifier.stats` records if it ever
 fires.
+
+**Retirement.** The graph covers a *live window*, not the whole
+history.  Every arc a push creates ends in the pushing transaction
+(D-arcs run from earlier to later operations, F-arcs end at the new
+operation, B-arcs at ``PullBackward`` of it), so once ``Ti`` commits no
+arc can ever enter its vertices again.  If, moreover, every in-arc of
+``Ti`` comes from a retired transaction, ``Ti`` can never lie on a
+future cycle, and no live operation depends on it through a path:
+dropping it changes no future verdict (the RSG analogue of the SGT
+deletion rule).  :meth:`RsgCertifier.commit` records commits; once the
+history has doubled since the last compaction, one O(window) pass
+retires every committed transaction that no uncommitted transaction
+reaches in the transaction-level conflict graph, then rebuilds the
+engine over what is left by replaying it in order.  That replay cannot
+fail either: its arcs are the old graph's arcs among the kept vertices.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.core.atomicity import RelativeAtomicitySpec
 from repro.core.operations import Operation
@@ -52,9 +67,12 @@ _REJECT_EXTRA = (("ok", False),)
 class CertifierStats:
     """Operational counters of one :class:`RsgCertifier`.
 
-    ``fallback_rebuilds`` should stay zero: forget-replay is provably
-    infallible (see the module docstring), so a non-zero count means the
-    defensive path fired on a bug worth investigating.
+    ``fallback_rebuilds`` should stay zero: forget-replay and
+    compaction replay are provably infallible (see the module
+    docstring), so a non-zero count means a defensive path fired on a
+    bug worth investigating.  ``retired`` counts committed transactions
+    dropped from the live window, ``compactions`` the passes that
+    looked for them.
     """
 
     certified: int = 0
@@ -62,20 +80,36 @@ class CertifierStats:
     forgets: int = 0
     replayed: int = 0
     fallback_rebuilds: int = 0
+    retired: int = 0
+    compactions: int = 0
 
 
 class RsgCertifier:
     """Incremental relative-serialization-graph acyclicity checking.
+
+    A certifier that is never told about commits keeps every certified
+    operation; one whose owner calls :meth:`commit` retires committed
+    transactions from its live window (see the module docstring).
+    Verdicts are the same either way.
 
     Args:
         spec: the relative atomicity specification covering every
             transaction that will be declared.
     """
 
+    #: History length below which no compaction runs; past it, one runs
+    #: each time the live window has doubled since the last.  An
+    #: amortisation constant: each compaction replays the window once,
+    #: and at least half of it was pushed since the previous one.
+    _compact_floor = 32
+
     def __init__(self, spec: RelativeAtomicitySpec) -> None:
         self._spec = spec
         self._engine = IncrementalRsg(spec)
         self._declared: dict[int, Transaction] = {}
+        # Committed transactions still in the live window.
+        self._committed: set[int] = set()
+        self._compact_at = self._compact_floor
         self._stats = CertifierStats()
         # Memoized (rejection count, Reason) of the last rejection: the
         # reason is read at least twice per rejection (once for the
@@ -88,12 +122,18 @@ class RsgCertifier:
 
     @property
     def graph(self) -> IncrementalDiGraph:
-        """The current RSG over all declared operations."""
+        """The current RSG over the live window: the operations of every
+        declared, not yet retired transaction."""
         return self._engine.graph
 
     @property
     def history(self) -> tuple[Operation, ...]:
-        """The certified (granted) operations, in order."""
+        """The live window's certified (granted) operations, in order.
+
+        Retired transactions' operations are gone from it; without
+        :meth:`commit` calls nothing retires and this is the whole
+        certified history.
+        """
         return tuple(self._engine.history)
 
     @property
@@ -119,10 +159,15 @@ class RsgCertifier:
         """A compact census of the in-flight RSG for live introspection.
 
         ``nodes``/``arcs`` describe the live graph (arc counts keyed by
-        I/D/F/B kind), ``history`` the certified-prefix length, and
-        ``certified``/``rejected`` the lifetime verdict counters.  Walks
-        the flat engine's arc masks — O(arcs), no graph materialization
-        — so the ``inspect`` service verb can call it on a busy server.
+        I/D/F/B kind) and ``history`` the live window's certified
+        length; all three stay bounded on a server whose transactions
+        commit.  The lifetime counters follow: ``certified``/
+        ``rejected`` verdicts, ``forgets`` with the operations they
+        ``replayed``, ``fallback_rebuilds`` (always 0 unless a bug),
+        and ``retired`` transactions over ``compactions`` passes.
+        Walks the flat engine's arc masks — O(arcs), no graph
+        materialization — so the ``inspect`` service verb can call it
+        on a busy server.
         """
         arcs = self._engine.arc_census()
         return {
@@ -130,8 +175,7 @@ class RsgCertifier:
             "arcs": arcs,
             "arc_total": sum(arcs.values()),
             "history": len(self._engine),
-            "certified": self._stats.certified,
-            "rejected": self._stats.rejected,
+            **asdict(self._stats),
         }
 
     # ------------------------------------------------------------------
@@ -145,7 +189,7 @@ class RsgCertifier:
     def undeclare(self, tx_id: int) -> None:
         """Remove a declared transaction's vertices and I-arcs entirely.
 
-        The inverse of :meth:`declare`, for callers that retire a
+        The inverse of :meth:`declare`, for callers that drop a
         transaction for good (permanent abort) rather than restarting
         it.  The transaction must hold no certified operations — call
         :meth:`forget` first.  The engine returns the freed node ids to
@@ -154,6 +198,85 @@ class RsgCertifier:
         """
         self._engine.remove_transaction(tx_id)
         del self._declared[tx_id]
+        self._committed.discard(tx_id)
+
+    def commit(self, tx_id: int) -> None:
+        """Record that ``T{tx_id}`` committed: it pushes nothing more.
+
+        Committed transactions become retirable; once the live window
+        has doubled since the last compaction (and is past
+        :attr:`_compact_floor`), :meth:`_compact` retires them.
+        """
+        self._committed.add(tx_id)
+        if len(self._engine) >= self._compact_at:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Retire what can be retired and rebuild the engine without it.
+
+        O(window): one pass builds the transaction-level graph of direct
+        conflicts (the covering set the engine's trackers use: each
+        operation's last writer, and for a write the readers since),
+        marks every uncommitted transaction and everything reachable
+        from one as blocked, and retires every other committed
+        transaction.  A transaction-level path over-approximates the
+        operation-level ``depends-on`` paths, so a retired transaction
+        has no live ancestor: its in-arcs all come from retired ones.
+        """
+        self._stats.compactions += 1
+        history = self._engine.history
+        retire = self._retirable(history)
+        if retire:
+            kept = [
+                transaction
+                for tx_id, transaction in self._declared.items()
+                if tx_id not in retire
+            ]
+            window = [op for op in history if op.tx not in retire]
+            engine, refused = self._replayed(kept, window)
+            if refused is None:
+                self._engine = engine
+                for tx_id in retire:
+                    del self._declared[tx_id]
+                self._committed -= retire
+                self._stats.retired += len(retire)
+            else:  # pragma: no cover
+                # Provably unreachable (the kept arcs are a subset of an
+                # acyclic graph's); keep the old engine, retire nothing.
+                self._stats.fallback_rebuilds += 1
+        self._compact_at = max(self._compact_floor, 2 * len(self._engine))
+
+    def _retirable(self, history: list[Operation]) -> set[int]:
+        """Committed transactions no uncommitted one reaches in the
+        transaction-level conflict graph of ``history``."""
+        succ: dict[int, set[int]] = {}
+        last_write: dict[str, int] = {}
+        readers: dict[str, set[int]] = {}
+        live: set[int] = set()
+        committed = self._committed
+        for op in history:
+            tx = op.tx
+            obj = op.obj
+            if tx not in committed:
+                live.add(tx)
+            writer = last_write.get(obj)
+            if writer is not None and writer != tx:
+                succ.setdefault(writer, set()).add(tx)
+            if op.is_write:
+                for reader in readers.pop(obj, ()):
+                    if reader != tx:
+                        succ.setdefault(reader, set()).add(tx)
+                last_write[obj] = tx
+            else:
+                readers.setdefault(obj, set()).add(tx)
+        blocked = set(live)
+        stack = list(live)
+        while stack:
+            for later in succ.get(stack.pop(), ()):
+                if later not in blocked:
+                    blocked.add(later)
+                    stack.append(later)
+        return committed - blocked
 
     def try_certify(self, op: Operation) -> bool:
         """Tentatively append ``op``; commit the arcs iff still acyclic.
@@ -227,20 +350,6 @@ class RsgCertifier:
         """Labelled witness of the most recent refused certification."""
         return witness_from_certifier(self)
 
-    def reset(self) -> None:
-        """Forget the entire certified history, keeping declarations.
-
-        The warm-worker reuse hook: a pooled certifier serving repeated
-        runs over the same transaction set is reset between runs
-        instead of rebuilt, so the engine's allocated node ids and
-        buffers survive (see :meth:`IncrementalRsg.reset
-        <repro.core.rsg.IncrementalRsg.reset>`).  Counters restart at
-        zero — a reset certifier reports the new run's stats only.
-        """
-        self._engine.reset()
-        self._stats = CertifierStats()
-        self._reason_cache = (0, None)
-
     def forget(self, tx_id: int) -> None:
         """Drop a victim's granted operations, keeping everyone else's.
 
@@ -280,18 +389,36 @@ class RsgCertifier:
     ) -> None:
         """Reconstruct certifier state from scratch for the given history.
 
+        Commit marks survive for the transactions still declared.
+
         Raises:
             CycleError: when the given history is not certifiable (it
                 closes an RSG cycle), carrying the witness.
         """
-        self._engine = IncrementalRsg(self._spec)
-        self._declared = {}
+        transactions = list(transactions)
+        engine, refused = self._replayed(transactions, history)
+        self._engine = engine
+        self._declared = {tx.tx_id: tx for tx in transactions}
+        self._committed.intersection_update(self._declared)
         self._reason_cache = (-1, None)
+        if refused is not None:
+            raise CycleError(
+                f"rebuild history is not certifiable at {refused!r}",
+                cycle=engine.last_rejected_cycle,
+            )
+
+    def _replayed(
+        self,
+        transactions: Iterable[Transaction],
+        history: Iterable[Operation],
+    ) -> tuple[IncrementalRsg, Operation | None]:
+        """A fresh engine with ``transactions`` declared and ``history``
+        pushed in order, plus the first operation it refused (``None``
+        when every push certified)."""
+        engine = IncrementalRsg(self._spec)
         for transaction in transactions:
-            self.declare(transaction)
+            engine.add_transaction(transaction)
         for op in history:
-            if not self._engine.try_push(op):
-                raise CycleError(
-                    f"rebuild history is not certifiable at {op!r}",
-                    cycle=self._engine.last_rejected_cycle,
-                )
+            if not engine.try_push(op):
+                return engine, op
+        return engine, None

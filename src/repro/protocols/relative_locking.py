@@ -319,10 +319,20 @@ class RelativeLockingScheduler(Scheduler):
             debts.discard(tx_id)
 
     def _on_finish(self, tx_id: int) -> None:
-        # Locks and debts go; the certified history stays (committed
-        # operations keep constraining the graph, as Theorem 1 needs).
+        # Locks and debts go; the certified history stays until the
+        # certifier proves it can constrain no future cycle (retirement).
         self._forget(tx_id)
+        self._certifier.commit(tx_id)
 
     def _on_remove(self, tx_id: int) -> None:
         self._forget(tx_id)
         self._certifier.forget(tx_id)
+
+    def _on_discard(self, tx_id: int) -> None:
+        self._last_use.pop(tx_id, None)
+        self._access_set.pop(tx_id, None)
+        # Parked waiters must not keep a gone transaction as a blocker
+        # (see TwoPhaseLockingScheduler._on_discard).
+        for blockers in self._waiting_on.values():
+            blockers.discard(tx_id)
+        self._certifier.undeclare(tx_id)

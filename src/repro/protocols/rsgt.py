@@ -90,5 +90,11 @@ class RSGTScheduler(Scheduler):
     def _rsg_summary(self) -> dict[str, object]:
         return self._certifier.rsg_summary()
 
+    def _on_finish(self, tx_id: int) -> None:
+        self._certifier.commit(tx_id)
+
     def _on_remove(self, tx_id: int) -> None:
         self._certifier.forget(tx_id)
+
+    def _on_discard(self, tx_id: int) -> None:
+        self._certifier.undeclare(tx_id)

@@ -67,3 +67,6 @@ class SGTScheduler(Scheduler):
         # restarted incarnation starts clean.
         self._graph.remove_node(tx_id)
         self._graph.add_node(tx_id)
+
+    def _on_discard(self, tx_id: int) -> None:
+        self._graph.remove_node(tx_id)

@@ -82,3 +82,11 @@ class TwoPhaseLockingScheduler(Scheduler):
     def _on_remove(self, tx_id: int) -> None:
         self._locks.release_all(tx_id)
         self._waiting_on.pop(tx_id, None)
+
+    def _on_discard(self, tx_id: int) -> None:
+        # Waiters parked behind the discarded transaction keep their
+        # entries until they retry; it must not stay one of their
+        # blockers, or deadlock detection would ask about a transaction
+        # that is no longer admitted.
+        for blockers in self._waiting_on.values():
+            blockers.discard(tx_id)

@@ -298,6 +298,7 @@ class RsrServer:
         if verb == "metrics":
             return self._do_metrics(request)
         if verb == "metricsx":
+            self._sample_rsg_gauges()
             return wire.ok(req_id, exposition=self.metrics.to_prometheus())
         if verb == "inspect":
             return self._do_inspect(request)
@@ -624,6 +625,23 @@ class RsrServer:
             tenant=name,
             metrics=self.metrics.filtered(tenant=name).to_dict(),
         )
+
+    def _sample_rsg_gauges(self) -> None:
+        """Refresh each certifying tenant's live-window gauges (RSG size,
+        retirement and forget counters), so a scrape shows certifier
+        state growing with age beside the latency histograms.  Every
+        ``rsg_summary`` field becomes ``rsg.<field>{tenant}``; the arc
+        census goes out as ``rsg.arcs{kind, tenant}``."""
+        for name, tenant in self.tenants.items():
+            rsg = tenant.scheduler.snapshot()["rsg"] or {}
+            for field, value in rsg.items():
+                if field == "arcs":
+                    for kind, count in value.items():
+                        self.metrics.gauge(
+                            "rsg.arcs", count, tenant=name, kind=kind
+                        )
+                else:
+                    self.metrics.gauge(f"rsg.{field}", value, tenant=name)
 
     def _do_inspect(self, request: dict) -> dict:
         """Live wait-for/donation/RSG introspection (no locks: the whole

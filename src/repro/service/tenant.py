@@ -341,8 +341,11 @@ class Tenant:
         self._kill(session.tx_id, reason)
 
     def _kill(self, tx_id: int, reason: str) -> Session:
+        # A dead session never restarts (its client begins a new one),
+        # so the scheduler drops it for good rather than keeping it
+        # admitted for a restart.
         session = self.sessions[tx_id]
-        self.scheduler.remove(tx_id)
+        self.scheduler.discard(tx_id)
         if (
             session.begun_in_store
             and tx_id in self.store.open_transactions
@@ -370,7 +373,7 @@ class Tenant:
             session = self.sessions[tx_id]
             if session.cursor == 0:
                 continue
-            self.scheduler.remove(tx_id)
+            self.scheduler.discard(tx_id)
             session.begun_in_store = False
             session.close(SessionState.ABORTED, "store-crash")
             del self.sessions[tx_id]

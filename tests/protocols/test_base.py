@@ -1,11 +1,15 @@
 """Unit tests for the scheduler base-class contract."""
 
+import random
+
 import pytest
 
 from repro.core.operations import Operation
 from repro.core.transactions import Transaction
 from repro.errors import ProtocolError
+from repro.protocols import PROTOCOL_NAMES, make_scheduler
 from repro.protocols.base import Decision, Outcome, Scheduler
+from repro.specs.builders import absolute_spec
 
 
 class _AlwaysGrant(Scheduler):
@@ -193,3 +197,103 @@ class TestWatchdog:
         # T2 has the least progress to throw away.
         assert outcome.decision is Decision.ABORT
         assert outcome.victims == (2,)
+
+
+class TestDiscard:
+    """``discard`` ends a transaction for good, unlike ``remove``."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    def test_discarded_transaction_leaves_no_admission(self, protocol):
+        first = Transaction.from_notation(1, "r[x] w[x]")
+        second = Transaction.from_notation(2, "r[x] w[x]")
+        scheduler = make_scheduler(
+            protocol, absolute_spec([first, second])
+        )
+        scheduler.admit(first)
+        scheduler.admit(second)
+        assert scheduler.request(first[0]).decision is Decision.GRANT
+        scheduler.discard(1)
+        assert scheduler.admitted_ids == frozenset({2})
+        assert all(op.tx != 1 for op in scheduler.history)
+        with pytest.raises(ProtocolError):
+            scheduler.request(first[0])
+        # The survivor runs as if the discarded one never existed.
+        for op in second:
+            assert scheduler.request(op).decision is Decision.GRANT
+        scheduler.finish(2)
+        certifier = getattr(scheduler, "_certifier", None)
+        if certifier is not None:
+            assert all(op.tx != 1 for op in certifier.graph.nodes())
+
+    def test_remove_keeps_the_victim_admitted_for_restart(self, tx):
+        scheduler = _AlwaysGrant()
+        scheduler.admit(tx)
+        scheduler.request(tx[0])
+        scheduler.remove(1)
+        assert scheduler.admitted_ids == frozenset({1})
+        assert scheduler.request(tx[0]).decision is Decision.GRANT
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    def test_discarding_a_blocker_leaves_no_stale_wait_edge(self, protocol):
+        # T1 holds x and T2 waits on it; T1 is then discarded while T2
+        # is still parked.  A later wait by anyone else runs deadlock
+        # detection over every recorded wait edge, which must not name
+        # the discarded transaction.
+        programs = [
+            Transaction.from_notation(1, "w[x] w[z]"),
+            Transaction.from_notation(2, "r[x]"),
+            Transaction.from_notation(3, "w[y] w[z]"),
+            Transaction.from_notation(4, "r[y]"),
+        ]
+        scheduler = make_scheduler(protocol, absolute_spec(programs))
+        for program in programs:
+            scheduler.admit(program)
+        assert scheduler.request(programs[0][0]).decision is Decision.GRANT
+        assert scheduler.request(programs[2][0]).decision is Decision.GRANT
+        scheduler.request(programs[1][0])
+        scheduler.discard(1)
+        assert all(1 not in blockers
+                   for blockers in scheduler.wait_edges().values())
+        scheduler.request(programs[3][0])
+        if scheduler.progress(2) == 0:
+            # T2 was parked (the lock-based protocols); x is free now.
+            assert scheduler.request(programs[1][0]).decision is Decision.GRANT
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_discards_never_strand_a_reference(self, protocol, seed):
+        # Service-shaped driving: every abort victim is discarded for
+        # good and never restarts, and a waiter retries later.  No
+        # request may then trip over a transaction that is gone.
+        rng = random.Random(seed)
+        programs = [
+            Transaction.from_notation(
+                tx_id,
+                " ".join(
+                    f"{rng.choice('rw')}[{rng.choice('abc')}]"
+                    for _ in range(rng.randint(1, 4))
+                ),
+            )
+            for tx_id in range(1, 9)
+        ]
+        scheduler = make_scheduler(protocol, absolute_spec(programs))
+        for program in programs:
+            scheduler.admit(program)
+        live = {program.tx_id: program for program in programs}
+        for _ in range(200):
+            if not live:
+                break
+            tx_id = rng.choice(sorted(live))
+            if rng.random() < 0.1:
+                scheduler.discard(tx_id)
+                del live[tx_id]
+                continue
+            program = live[tx_id]
+            outcome = scheduler.request(program[scheduler.progress(tx_id)])
+            if outcome.decision is Decision.ABORT:
+                for victim in outcome.victims:
+                    scheduler.discard(victim)
+                    live.pop(victim, None)
+            elif scheduler.progress(tx_id) == len(program):
+                scheduler.finish(tx_id)
+                del live[tx_id]

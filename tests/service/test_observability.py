@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.cli import _render_top
 from repro.service.client import ServiceClient, ServiceError
 
 from tests.service.util import running_server
@@ -99,6 +100,42 @@ class TestInspect:
                 assert rsg["nodes"] >= 1
                 assert set(rsg["arcs"]) == {"I", "D", "F", "B"}
                 assert rsg["certified"] >= 1
+                await client.close()
+
+        asyncio.run(scenario())
+
+    def test_live_window_counters_in_inspect_metricsx_and_top(self):
+        async def scenario():
+            async with running_server() as server:
+                client = await _connect(server)
+                await client.tenant("r", protocol="rsgt", objects={"x": 0})
+                # Serial commits past the compaction floor: retirement
+                # keeps the live window small while commits grow.
+                for _ in range(40):
+                    txn = (await client.begin("r[x] w[x]", tenant="r"))["txn"]
+                    await client.read(txn)
+                    await client.write(txn)
+                    await client.commit(txn)
+                response = await client.inspect("r")
+                rsg = response["tenants"]["r"]["rsg"]
+                for key in (
+                    "forgets", "replayed", "fallback_rebuilds",
+                    "retired", "compactions", "history",
+                ):
+                    assert key in rsg
+                assert rsg["retired"] >= 1 and rsg["compactions"] >= 1
+                assert rsg["history"] < 80
+                assert rsg["fallback_rebuilds"] == 0
+                exposition = (await client.metricsx())["exposition"]
+                assert "# TYPE rsg_retired gauge" in exposition
+                assert f'rsg_retired{{tenant="r"}} {rsg["retired"]}' in (
+                    exposition
+                )
+                assert 'rsg_arcs{kind="D",tenant="r"}' in exposition
+                assert 'rsg_fallback_rebuilds{tenant="r"} 0' in exposition
+                screen = _render_top(response)
+                assert f"retired={rsg['retired']}" in screen
+                assert "fallback_rebuilds=0" in screen
                 await client.close()
 
         asyncio.run(scenario())
