@@ -20,7 +20,6 @@ from collections.abc import Iterator
 
 from repro.core.operations import OpType, Operation
 from repro.core.schedules import Schedule
-from repro.errors import InvalidScheduleError
 from repro.graphs.digraph import DiGraph
 
 __all__ = ["DependencyRelation"]
@@ -87,45 +86,6 @@ class DependencyRelation:
         relation._transitive = transitive
         relation._reach = reach
         return relation
-
-    def extended_with(self, schedule: Schedule) -> "DependencyRelation":
-        """The relation for this schedule plus one appended operation.
-
-        ``schedule`` must be this relation's schedule with exactly one
-        operation appended; the closure is extended in O(n) bitset
-        operations instead of recomputed from scratch, sharing every
-        untouched row with the parent (rows are immutable ints).
-        """
-        ops = schedule.operations
-        n = len(ops) - 1
-        if len(self._schedule) != n or ops[:n] != self._schedule.operations:
-            raise InvalidScheduleError(
-                "extended_with needs the parent schedule plus one operation"
-            )
-        new_op = ops[n]
-        new_tx = new_op.tx
-        new_obj = new_op.obj
-        new_write = new_op.op_type is OpType.WRITE
-        direct = 0
-        for p in range(n):
-            earlier = ops[p]
-            if earlier.tx == new_tx or (
-                earlier.obj == new_obj
-                and (new_write or earlier.op_type is OpType.WRITE)
-            ):
-                direct |= 1 << p
-        bit = 1 << n
-        reach = list(self._reach)
-        if self._transitive:
-            for p in range(n):
-                if (direct >> p) & 1 or (reach[p] & direct):
-                    reach[p] |= bit
-        else:
-            for p in range(n):
-                if (direct >> p) & 1:
-                    reach[p] |= bit
-        reach.append(0)
-        return DependencyRelation._from_state(schedule, reach, self._transitive)
 
     # ------------------------------------------------------------------
     # Queries

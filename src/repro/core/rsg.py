@@ -30,6 +30,7 @@ weakened variants can be constructed and measured.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Sequence
 
 from repro.core.atomicity import RelativeAtomicitySpec
 from repro.core.dependency import DependencyRelation
@@ -37,9 +38,8 @@ from repro.core.operations import OpType, Operation
 from repro.core.schedules import Schedule
 from repro.core.transactions import Transaction
 from repro.errors import CycleError, GraphError, InvalidSpecError
-from repro.graphs.cycles import find_cycle
 from repro.graphs.digraph import DiGraph
-from repro.graphs.incremental import FlatBatch, FlatPkGraph, IncrementalDiGraph
+from repro.graphs.incremental import FlatBatch, FlatPkGraph
 from repro.graphs.toposort import topological_sort
 
 __all__ = [
@@ -113,8 +113,6 @@ class RelativeSerializationGraph:
         _check_spec_matches(schedule, spec)
         self._schedule = schedule
         self._spec = spec
-        self._include_f_arcs = include_f_arcs
-        self._include_b_arcs = include_b_arcs
         self._dependency = DependencyRelation(
             schedule, transitive=transitive_dependencies
         )
@@ -122,7 +120,10 @@ class RelativeSerializationGraph:
             include_f_arcs, include_b_arcs
         )
         self._graph_cache: DiGraph | None = None
-        self._graph_factory = None
+        # None means "expand the arc masks" (a bound self._materialize
+        # here would be a reference cycle, keeping every RSG alive
+        # until the cyclic collector runs).
+        self._graph_factory: Callable[[], DiGraph] | None = None
         self._cycle: list[Operation] | None | _Unset = _UNSET
 
     @classmethod
@@ -131,30 +132,23 @@ class RelativeSerializationGraph:
         schedule: Schedule,
         spec: RelativeAtomicitySpec,
         dependency: DependencyRelation,
-        graph: DiGraph | None,
-        cycle: "list[Operation] | None | _Unset" = _UNSET,
-        graph_factory=None,
+        cycle: list[Operation] | None,
+        graph_factory: Callable[[], DiGraph],
     ) -> "RelativeSerializationGraph":
         """Assemble an RSG from already-computed parts (no rebuild).
 
-        The incremental machinery (:class:`IncrementalRsg`,
-        :meth:`extended_with`, the prefix-sharing enumerators) uses this
-        to hand out RSG views without paying the O(n^2) closure and arc
-        construction again.  ``graph`` is adopted, not copied; passing
-        ``graph_factory`` instead defers even the adjacency
-        materialization until :attr:`graph` is first touched, so views
-        whose consumers only ask for acyclicity (``cycle`` is always
-        supplied by those callers) never build a graph at all.
+        :class:`IncrementalRsg` uses this to hand out RSG views without
+        paying the O(n^2) closure and arc construction again.  The
+        verdict and its witness (``cycle``) come with the parts;
+        ``graph_factory`` defers the adjacency materialization until
+        :attr:`graph` is first touched, so views whose consumers only
+        ask for acyclicity never build a graph at all.
         """
         rsg = object.__new__(cls)
         rsg._schedule = schedule
         rsg._spec = spec
-        rsg._include_f_arcs = True
-        rsg._include_b_arcs = True
         rsg._dependency = dependency
-        rsg._ops_table = []
-        rsg._arc_masks = {}
-        rsg._graph_cache = graph
+        rsg._graph_cache = None
         rsg._graph_factory = graph_factory
         rsg._cycle = cycle
         return rsg
@@ -221,15 +215,19 @@ class RelativeSerializationGraph:
                 if include_f_arcs:
                     row = push_rows.get((ptx, j))
                     if row is None:
-                        row = push_rows[(ptx, j)] = _push_id_row(
-                            spec, transactions[ptx], j, tx_base[ptx]
+                        base = tx_base[ptx]
+                        row = push_rows[(ptx, j)] = _push_row(
+                            spec, ptx, j,
+                            range(base, base + len(transactions[ptx])),
                         )
                     fkey = row[sidx[p]] * total
                 if include_b_arcs:
                     brow = pull_rows.get((j, ptx))
                     if brow is None:
-                        brow = pull_rows[(j, ptx)] = _pull_id_row(
-                            spec, transactions[j], ptx, tx_base[j]
+                        base = tx_base[j]
+                        brow = pull_rows[(j, ptx)] = _pull_row(
+                            spec, j, ptx,
+                            range(base, base + len(transactions[j])),
                         )
                 while deps:
                     low = deps & -deps
@@ -321,16 +319,14 @@ class RelativeSerializationGraph:
     def graph(self) -> DiGraph:
         """The underlying digraph (arcs labelled with :class:`ArcKind`).
 
-        Materialized lazily from the id-space arc masks on first
-        access; the pure acyclicity test (:attr:`is_acyclic`) never
-        needs it.
+        Materialized lazily on first access; the pure acyclicity test
+        (:attr:`is_acyclic`) never needs it.
         """
         if self._graph_cache is None:
             factory = self._graph_factory
-            if factory is not None:
-                self._graph_cache = factory()
-            else:
-                self._graph_cache = self._materialize()
+            self._graph_cache = (
+                self._materialize() if factory is None else factory()
+            )
         return self._graph_cache
 
     @property
@@ -340,12 +336,13 @@ class RelativeSerializationGraph:
 
     @property
     def cycle(self) -> list[Operation] | None:
-        """A witness cycle, or ``None`` when the graph is acyclic."""
+        """A witness cycle, or ``None`` when the graph is acyclic.
+
+        Always found over the id-space arc set, so the witness does not
+        depend on whether :attr:`graph` was materialized first.
+        """
         if self._cycle is _UNSET:
-            if self._graph_cache is not None or self._graph_factory is not None:
-                self._cycle = find_cycle(self.graph)
-            else:
-                self._cycle = self._cycle_from_masks()
+            self._cycle = self._cycle_from_masks()
         return self._cycle
 
     def arcs(self, kind: ArcKind | None = None) -> list[tuple[Operation, Operation]]:
@@ -387,55 +384,6 @@ class RelativeSerializationGraph:
         order = topological_sort(self.graph, key=self._schedule.position)
         return self._schedule.reordered(order)
 
-    # ------------------------------------------------------------------
-    # Prefix extension
-    # ------------------------------------------------------------------
-    def extended_with(self, op: Operation) -> "RelativeSerializationGraph":
-        """The RSG of this schedule with ``op`` appended.
-
-        Shares the dependency closure with the parent (extended in O(n)
-        bitset work instead of recomputed) and derives only the new
-        operation's D/F/B arcs; the parent is never mutated.  The
-        adjacency structure is copied, which is the remaining O(V + E)
-        term — for zero-copy sharing over many sibling extensions use
-        :class:`IncrementalRsg` (what the prefix-sharing enumerators
-        do).
-
-        Only supported for the full graph (F- and B-arcs included,
-        transitive dependencies) — the ablation variants have no
-        incremental story.
-        """
-        if not (self._include_f_arcs and self._include_b_arcs):
-            raise GraphError(
-                "extended_with requires the full RSG (F- and B-arcs)"
-            )
-        if not self._dependency.transitive:
-            raise GraphError(
-                "extended_with requires transitive dependencies"
-            )
-        schedule = self._schedule.extended_with(op)
-        dependency = self._dependency.extended_with(schedule)
-        graph = self.graph.copy()
-        spec = self._spec
-        arcs: list[tuple[Operation, Operation, ArcKind]] = []
-        for earlier in dependency.dependencies_of(op):
-            if earlier.tx == op.tx:
-                continue
-            arcs.append((earlier, op, ArcKind.DEPENDENCY))
-            push = spec.push_forward(earlier, observer=op.tx)
-            arcs.append((push, op, ArcKind.PUSH_FORWARD))
-            pull = spec.pull_backward(op, observer=earlier.tx)
-            arcs.append((earlier, pull, ArcKind.PULL_BACKWARD))
-        graph.add_labelled_edges(arcs)
-        cycle: list[Operation] | None | _Unset = _UNSET
-        if self._cycle is not _UNSET and self._cycle is not None:
-            # Arcs only ever accumulate as the prefix grows, so a
-            # parent's witness cycle survives in every extension.
-            cycle = self._cycle
-        return RelativeSerializationGraph._from_parts(
-            schedule, spec, dependency, graph, cycle
-        )
-
     def __repr__(self) -> str:
         return (
             f"RSG(|V|={self.graph.node_count}, |E|={self.graph.edge_count}, "
@@ -443,32 +391,32 @@ class RelativeSerializationGraph:
         )
 
 
-def _push_id_row(
+def _push_row(
     spec: RelativeAtomicitySpec,
-    transaction: Transaction,
+    tx_id: int,
     observer: int,
-    base: int,
+    ids: Sequence[int],
 ) -> list[int]:
-    """:func:`_push_table` in id-space: ``base`` is the transaction's
-    first operation id in the dense ops table."""
-    view = spec.atomicity(transaction.tx_id, observer)
+    """``PushForward(op, observer)`` for every operation of ``tx_id``,
+    as a row indexed by operation index; ``ids[i]`` is the id the
+    caller gives the transaction's ``i``-th operation."""
     row: list[int] = []
-    for unit in view.units:
-        row.extend([base + unit.end] * unit.size)
+    for unit in spec.atomicity(tx_id, observer).units:
+        row.extend([ids[unit.end]] * unit.size)
     return row
 
 
-def _pull_id_row(
+def _pull_row(
     spec: RelativeAtomicitySpec,
-    transaction: Transaction,
+    tx_id: int,
     observer: int,
-    base: int,
+    ids: Sequence[int],
 ) -> list[int]:
-    """:func:`_pull_table` in id-space."""
-    view = spec.atomicity(transaction.tx_id, observer)
+    """``PullBackward(op, observer)`` for every operation of ``tx_id``,
+    in the same id space as :func:`_push_row`."""
     row: list[int] = []
-    for unit in view.units:
-        row.extend([base + unit.start] * unit.size)
+    for unit in spec.atomicity(tx_id, observer).units:
+        row.extend([ids[unit.start]] * unit.size)
     return row
 
 
@@ -485,10 +433,10 @@ class IncrementalRsg:
       integer-id adjacency structure with bitmask arc kinds — that
       keeps an online topological order.  A cycle-closing push is
       refused with the graph left untouched.
-    * ``push_uncertified`` — append an operation *without* its arcs,
-      used by enumerators that must keep walking extensions of a prefix
-      already known to be cyclic (arcs only accumulate, so every
-      extension stays cyclic; the stored witness remains valid).
+    * ``push_uncertified`` — append an operation *without* inserting
+      its arcs, used by enumerators that must keep walking extensions
+      of a prefix already known to be cyclic (arcs only accumulate, so
+      every extension stays cyclic; the stored witness remains valid).
     * ``pop`` — undo the latest push in O(#its-arcs): edge removal can
       never invalidate a topological order, so no restoration pass.
 
@@ -502,10 +450,10 @@ class IncrementalRsg:
     (freelisted and reused across :meth:`remove_transaction`), arcs are
     ``(u, v, kind-bit)`` triples written into one reusable flat buffer,
     undo batches and push records are recycled through freelists, and
-    the labelled :class:`IncrementalDiGraph` view the diagnostics need
-    is materialized on demand and cached per mutation epoch.  In the
-    steady state a certify/forget cycle therefore allocates almost
-    nothing.
+    the labelled :class:`~repro.graphs.digraph.DiGraph` view the
+    diagnostics need is materialized on demand and cached per mutation
+    epoch.  In the steady state a certify/forget cycle therefore
+    allocates almost nothing.
     """
 
     def __init__(
@@ -586,7 +534,7 @@ class IncrementalRsg:
         ) = None
         # Materialized-view cache, invalidated by the mutation counter.
         self._mutations = 0
-        self._graph_cache: IncrementalDiGraph | None = None
+        self._graph_cache: DiGraph | None = None
         self._graph_version = -1
 
     # ------------------------------------------------------------------
@@ -598,14 +546,18 @@ class IncrementalRsg:
         return self._spec
 
     @property
-    def graph(self) -> IncrementalDiGraph:
-        """The maintained RSG (all declared vertices and I-arcs, plus
-        D/F/B arcs of the certified prefix).
+    def graph(self) -> DiGraph:
+        """The maintained RSG: all declared vertices and I-arcs, plus
+        the D/F/B arcs of the pushed operations.
 
-        A labelled :class:`IncrementalDiGraph` view materialized from
-        the flat engine on first access and cached until the next
-        mutation — diagnostics and tests pay O(V + E) per epoch, the
-        certification hot path never builds it.
+        A labelled :class:`~repro.graphs.digraph.DiGraph` view
+        materialized from the flat engine on first access and cached
+        until the next mutation — diagnostics and tests pay O(V + E)
+        per epoch, the certification hot path never builds it.  Arcs
+        of operations appended by :meth:`push_uncertified` never enter
+        the flat engine; the view derives them from the ancestor
+        closure, which is only kept under ``maintain_reach=True``, so
+        without it a cyclic prefix's view stops at the certified arcs.
         """
         if self._graph_cache is None or self._graph_version != self._mutations:
             self._graph_cache = self._materialized_graph()
@@ -957,32 +909,21 @@ class IncrementalRsg:
             schedule, list(self._reach), transitive=True
         )
 
-    def materialize(
-        self, schedule: Schedule, *, copy_graph: bool = True
-    ) -> RelativeSerializationGraph:
+    def materialize(self, schedule: Schedule) -> RelativeSerializationGraph:
         """A :class:`RelativeSerializationGraph` view of the prefix.
 
-        With ``copy_graph=False`` the view defers adjacency
-        materialization entirely: the graph is only built (from this
-        engine's state *at access time*) if the consumer touches
-        ``.graph``, so it is valid until the next push/pop — exactly
-        the lifetime the prefix-sharing enumerators need — and costs
-        nothing for consumers that only test acyclicity.  For cyclic
-        prefixes the view's graph carries the arcs up to the first
-        uncertified operation plus the stored witness; acyclicity and
-        the witness are exact, the remaining arcs are not materialized.
+        ``schedule`` must be over exactly the pushed operations, as for
+        :meth:`dependency_for`.  The view carries the verdict and the
+        stored witness; its graph is only built (from this engine's
+        state *at access time*) if the consumer touches ``.graph``, so
+        it is valid until the next push/pop — exactly the lifetime the
+        prefix-sharing enumerators need — and costs nothing for
+        consumers that only test acyclicity.
         """
-        cycle: list[Operation] | None
         cycle = None if self._uncertified_from is None else self._witness
-        dependency = self.dependency_for(schedule)
-        if copy_graph:
-            return RelativeSerializationGraph._from_parts(
-                schedule, self._spec, dependency,
-                self._materialized_graph(), cycle,
-            )
         return RelativeSerializationGraph._from_parts(
-            schedule, self._spec, dependency, None, cycle,
-            graph_factory=self._materialized_view,
+            schedule, self._spec, self.dependency_for(schedule), cycle,
+            self._materialized_view,
         )
 
     # ------------------------------------------------------------------
@@ -1042,7 +983,9 @@ class IncrementalRsg:
                 by_observer = push_rows[etx] = {}
             row = by_observer.get(op_tx)
             if row is None:
-                row = by_observer[op_tx] = self._push_ids(etx, op_tx)
+                row = by_observer[op_tx] = _push_row(
+                    self._spec, etx, op_tx, self._ids[etx]
+                )
             append(row[earlier.index])
             append(oid)
             append(_F_BIT)
@@ -1051,31 +994,14 @@ class IncrementalRsg:
                 by_observer = pull_rows[op_tx] = {}
             row = by_observer.get(etx)
             if row is None:
-                row = by_observer[etx] = self._pull_ids(op_tx, etx)
+                row = by_observer[etx] = _pull_row(
+                    self._spec, op_tx, etx, self._ids[op_tx]
+                )
             append(eid)
             append(row[op_index])
             append(_B_BIT)
             count += 3
         return count
-
-    def _push_ids(self, tx_id: int, observer: int) -> list[int]:
-        """``PushForward(op, observer)`` for every operation of
-        ``tx_id``, as an index-addressed node-id row."""
-        view = self._spec.atomicity(tx_id, observer)
-        ids = self._ids[tx_id]
-        row: list[int] = []
-        for unit in view.units:
-            row.extend([ids[unit.end]] * unit.size)
-        return row
-
-    def _pull_ids(self, tx_id: int, observer: int) -> list[int]:
-        """``PullBackward(op, observer)`` in node-id space."""
-        view = self._spec.atomicity(tx_id, observer)
-        ids = self._ids[tx_id]
-        row: list[int] = []
-        for unit in view.units:
-            row.extend([ids[unit.start]] * unit.size)
-        return row
 
     def _take_batch(self) -> FlatBatch:
         pool = self._batch_pool
@@ -1120,36 +1046,36 @@ class IncrementalRsg:
     # ------------------------------------------------------------------
     # Materialized view
     # ------------------------------------------------------------------
-    def _materialized_graph(self) -> IncrementalDiGraph:
-        """Expand the flat engine into a labelled
-        :class:`IncrementalDiGraph` (fresh object, safe to adopt or
-        mutate), preserving the flat graph's topological order."""
-        graph = IncrementalDiGraph()
-        succ = graph._succ
-        pred = graph._pred
-        order = graph._ord
-        labels = graph._labels
-        flat = self._flat
-        order_of = flat.order_index
+    def _materialized_graph(self) -> DiGraph:
+        """Expand the flat engine, plus the arcs of the uncertified
+        suffix, into a fresh labelled :class:`DiGraph`."""
+        graph = DiGraph()
         ops_of = self._ops_of
         for tx_id in self._tx_order:
             for nid in self._ids[tx_id]:
-                op = ops_of[nid]
-                succ[op] = set()
-                pred[op] = set()
-                order[op] = order_of(nid)
-        graph._next_index = flat._next_index
-        for key, mask in flat.edge_items():
-            source = ops_of[key >> 32]
-            target = ops_of[key & 0xFFFFFFFF]
-            succ[source].add(target)
-            pred[target].add(source)
-            labels[(source, target)] = {
-                kind for bit, kind in _BIT_KINDS if mask & bit
-            }
+                graph.add_node(ops_of[nid])
+        arcs = [
+            (ops_of[key >> 32], ops_of[key & 0xFFFFFFFF], kind)
+            for key, mask in self._flat.edge_items()
+            for bit, kind in _BIT_KINDS
+            if mask & bit
+        ]
+        if self._uncertified_from is not None:
+            kind_of = dict(_BIT_KINDS)
+            closed = self._closed
+            buf: list[int] = []
+            for n in range(self._uncertified_from, len(self._history)):
+                count = self._fill_arcs(
+                    self._history[n], self._hist_ids[n], closed[n], buf
+                )
+                for i in range(0, 3 * count, 3):
+                    source = ops_of[buf[i]]
+                    target = ops_of[buf[i + 1]]
+                    arcs.append((source, target, kind_of[buf[i + 2]]))
+        graph.add_labelled_edges(arcs)
         return graph
 
-    def _materialized_view(self) -> IncrementalDiGraph:
+    def _materialized_view(self) -> DiGraph:
         """Graph factory handed to borrowed RSG views (uses the
         per-epoch cache, so sibling views within one epoch share)."""
         return self.graph

@@ -164,20 +164,6 @@ class Schedule:
         """
         return cls(transactions, order, complete=False)
 
-    def extended_with(self, op: Operation) -> "Schedule":
-        """This schedule with ``op`` appended.
-
-        The result is a complete :class:`Schedule` when ``op`` was the
-        last missing operation, and a prefix otherwise.
-        """
-        order = self._order + (op,)
-        total = sum(len(tx) for tx in self._transactions.values())
-        return Schedule(
-            list(self._transactions.values()),
-            order,
-            complete=len(order) == total,
-        )
-
     def reordered(self, order: Iterable[Operation]) -> "Schedule":
         """A new schedule over the same transactions with a new order."""
         return Schedule(

@@ -12,37 +12,23 @@ algorithms the rest of the library needs:
   :func:`~repro.graphs.cycles.is_acyclic` — iterative DFS cycle detection,
 * :func:`~repro.graphs.toposort.topological_sort` — deterministic Kahn
   topological sort with a caller-supplied tie-break,
-* :class:`~repro.graphs.incremental.IncrementalDiGraph` — online cycle
-  detection via Pearce–Kelly incremental topological ordering,
-* :func:`~repro.graphs.closure.transitive_closure` — bitset reachability,
-* :func:`~repro.graphs.scc.strongly_connected_components` — Tarjan SCCs,
+* :class:`~repro.graphs.incremental.FlatPkGraph` — online cycle
+  detection via Pearce–Kelly incremental topological ordering over
+  integer node ids (the engine under
+  :class:`~repro.core.rsg.IncrementalRsg`),
 * :func:`~repro.graphs.nx.to_networkx` — optional bridge to networkx.
 """
 
-from repro.graphs.closure import descendants, transitive_closure
 from repro.graphs.cycles import find_cycle, is_acyclic
 from repro.graphs.digraph import DiGraph
-from repro.graphs.incremental import (
-    EdgeBatch,
-    FlatBatch,
-    FlatPkGraph,
-    IncrementalDiGraph,
-)
-from repro.graphs.scc import condensation, strongly_connected_components
-from repro.graphs.toposort import all_topological_sorts, topological_sort
+from repro.graphs.incremental import FlatBatch, FlatPkGraph
+from repro.graphs.toposort import topological_sort
 
 __all__ = [
     "DiGraph",
-    "EdgeBatch",
     "FlatBatch",
     "FlatPkGraph",
-    "IncrementalDiGraph",
     "find_cycle",
     "is_acyclic",
     "topological_sort",
-    "all_topological_sorts",
-    "transitive_closure",
-    "descendants",
-    "strongly_connected_components",
-    "condensation",
 ]

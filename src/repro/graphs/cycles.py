@@ -1,11 +1,13 @@
 """Cycle detection for :class:`~repro.graphs.digraph.DiGraph`.
 
-Theorem 1 of the paper reduces recognizing relatively serializable
-schedules to an acyclicity test, so this module is on the hot path of the
-whole library.  The detector is an iterative three-colour DFS (no recursion,
-so very deep graphs cannot hit Python's recursion limit) that returns an
-explicit witness cycle when one exists — useful both for diagnostics and for
-the online protocols, which need to know *which* transaction to abort.
+Serializability (the classical serialization graph), SGT certification and
+the lock managers' deadlock detection all reduce to an acyclicity test over
+a :class:`DiGraph`.  (The RSG has its own detector over its id-space arc
+set, :attr:`repro.core.rsg.RelativeSerializationGraph.cycle`.)  The detector
+is an iterative three-colour DFS (no recursion, so very deep graphs cannot
+hit Python's recursion limit) that returns an explicit witness cycle when
+one exists — useful both for diagnostics and for the online protocols,
+which need to know *which* transaction to abort.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections.abc import Hashable
 
 from repro.graphs.digraph import DiGraph
 
-__all__ = ["find_cycle", "is_acyclic", "has_path"]
+__all__ = ["find_cycle", "is_acyclic"]
 
 Node = Hashable
 
@@ -56,27 +58,6 @@ def find_cycle(graph: DiGraph) -> list[Node] | None:
 def is_acyclic(graph: DiGraph) -> bool:
     """Return whether ``graph`` has no directed cycle."""
     return find_cycle(graph) is None
-
-
-def has_path(graph: DiGraph, source: Node, target: Node) -> bool:
-    """Return whether a directed path ``source -> ... -> target`` exists.
-
-    ``source == target`` counts as a path only if a genuine cycle through
-    the node exists (i.e., the trivial empty path does not count).
-    """
-    if not graph.has_node(source) or not graph.has_node(target):
-        return False
-    seen: set[Node] = set()
-    frontier: list[Node] = list(graph.successors(source))
-    while frontier:
-        node = frontier.pop()
-        if node == target:
-            return True
-        if node in seen:
-            continue
-        seen.add(node)
-        frontier.extend(graph.successors(node))
-    return False
 
 
 def sorted_succ(graph: DiGraph, node: Node) -> list[Node]:

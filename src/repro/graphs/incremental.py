@@ -24,310 +24,22 @@ Deleting arcs or nodes never invalidates a topological order, so
 removals are O(degree) with no restoration work — which is what makes
 the certifier's ``forget`` (restart a victim) cheap.
 
-:class:`IncrementalDiGraph` is a drop-in :class:`~repro.graphs.digraph.
-DiGraph`: all queries, iteration, and label bookkeeping behave
-identically, so existing diagnostics (DOT export, networkx bridge,
-tests comparing ``labelled_edges``) keep working.
-
-:class:`FlatPkGraph` is the same algorithm stripped to integer node ids
-for the certification hot path: adjacency is list-of-int-lists, an arc's
-kind set is a bitmask in a dict keyed by the packed int ``(u << 32) | v``
-(presence test, dedup, and labelling collapse into one int-keyed lookup),
-DFS visit marks live in a shared ``bytearray``, and released node ids go
-to a freelist so a steady certify/forget/re-declare cycle reuses slots
-instead of growing.  It is not a :class:`~repro.graphs.digraph.DiGraph`;
+:class:`FlatPkGraph` runs the algorithm over integer node ids:
+adjacency is list-of-int-lists, an arc's kind set is a bitmask in a dict
+keyed by the packed int ``(u << 32) | v`` (presence test, dedup, and
+labelling collapse into one int-keyed lookup), DFS visit marks live in a
+shared ``bytearray``, and released node ids go to a freelist so a steady
+certify/forget/re-declare cycle reuses slots instead of growing.  It is
+not a :class:`~repro.graphs.digraph.DiGraph`;
 :class:`~repro.core.rsg.IncrementalRsg` materializes a labelled
-:class:`IncrementalDiGraph` view from it on demand.
+:class:`~repro.graphs.digraph.DiGraph` view from it on demand.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
-from typing import Any
+from repro.errors import GraphError
 
-from repro.errors import CycleError, GraphError
-from repro.graphs.digraph import DiGraph
-
-__all__ = ["EdgeBatch", "FlatBatch", "FlatPkGraph", "IncrementalDiGraph"]
-
-Node = Hashable
-
-
-class EdgeBatch:
-    """Record of one successful :meth:`IncrementalDiGraph.try_add_edges`.
-
-    Remembers exactly which edges (and which labels on pre-existing
-    edges) the batch created, so the caller can undo the batch later in
-    O(#new-arcs) — the certifier keeps one batch per granted operation
-    and replays/retracts them during restarts.
-    """
-
-    __slots__ = ("new_edges", "new_labels")
-
-    def __init__(
-        self,
-        new_edges: list[tuple[Node, Node]],
-        new_labels: list[tuple[Node, Node, Any]],
-    ) -> None:
-        self.new_edges = new_edges
-        self.new_labels = new_labels
-
-
-class IncrementalDiGraph(DiGraph):
-    """A :class:`DiGraph` that maintains an online topological order.
-
-    Invariant: for every edge ``u -> v`` currently in the graph,
-    ``order_index(u) < order_index(v)``.  The invariant is restored
-    after every mutation; an :meth:`add_edge` that cannot restore it
-    (the edge closes a cycle) raises :class:`~repro.errors.CycleError`
-    and leaves the graph unchanged.  :meth:`try_add_edges` offers the
-    same protection with return-value semantics and batch rollback.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._ord: dict[Node, int] = {}
-        self._next_index = 0
-        self._last_cycle: list[Node] | None = None
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def copy(self) -> "IncrementalDiGraph":
-        """Independent copy, preserving the maintained order."""
-        clone = IncrementalDiGraph()
-        clone._succ = {node: set(adj) for node, adj in self._succ.items()}
-        clone._pred = {node: set(adj) for node, adj in self._pred.items()}
-        clone._labels = {
-            edge: set(labels) for edge, labels in self._labels.items()
-        }
-        clone._ord = dict(self._ord)
-        clone._next_index = self._next_index
-        return clone
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def add_node(self, node: Node) -> None:
-        """Add ``node``, assigning it the next (largest) order index."""
-        if node not in self._succ:
-            self._succ[node] = set()
-            self._pred[node] = set()
-            self._ord[node] = self._next_index
-            self._next_index += 1
-
-    def add_edge(self, source: Node, target: Node, label: Any = None) -> None:
-        """Add ``source -> target`` and restore the topological order.
-
-        Raises:
-            CycleError: when the edge would close a directed cycle.  The
-                graph is left exactly as it was (strengthening the base
-                class contract, which has no failure mode).
-        """
-        result = self.try_add_edges([(source, target, label)])
-        if result is None:
-            raise CycleError(
-                f"edge {source!r} -> {target!r} closes a cycle",
-                cycle=self._last_cycle,
-            )
-
-    def try_add_edges(
-        self, arcs: Iterable[tuple[Node, Node, Any]]
-    ) -> EdgeBatch | None:
-        """Insert a batch of labelled arcs, all or nothing.
-
-        Returns an :class:`EdgeBatch` describing what was actually new
-        (arcs already present merge labels, as in the base class), or
-        ``None`` when some arc would close a cycle — in which case every
-        arc of the batch has been rolled back and the graph is
-        unchanged.  After a ``None`` return the witness cycle is
-        available as :attr:`last_rejected_cycle`.
-        """
-        new_edges: list[tuple[Node, Node]] = []
-        new_labels: list[tuple[Node, Node, Any]] = []
-        new_nodes: list[Node] = []
-        succ = self._succ
-        labels = self._labels
-        for source, target, label in arcs:
-            if source not in succ:
-                self.add_node(source)
-                new_nodes.append(source)
-            if target not in succ:
-                self.add_node(target)
-                new_nodes.append(target)
-            if target in succ[source]:
-                if label is not None:
-                    edge_labels = labels.setdefault((source, target), set())
-                    if label not in edge_labels:
-                        edge_labels.add(label)
-                        new_labels.append((source, target, label))
-                continue
-            cycle = self._insert_arc(source, target)
-            if cycle is not None:
-                self._rollback(new_edges, new_labels)
-                for node in reversed(new_nodes):
-                    self.remove_node(node)
-                self._last_cycle = cycle
-                return None
-            new_edges.append((source, target))
-            if label is not None:
-                labels.setdefault((source, target), set()).add(label)
-        return EdgeBatch(new_edges, new_labels)
-
-    def add_labelled_edges(
-        self, edges: Iterable[tuple[Node, Node, Any]]
-    ) -> None:
-        """Bulk insertion through the order-maintaining path.
-
-        The base class implementation manipulates adjacency dicts
-        directly, which would bypass order-index assignment; here every
-        arc goes through the incremental machinery instead.
-
-        Raises:
-            CycleError: when some arc would close a cycle; the whole
-                batch is rolled back (all-or-nothing, unlike the base
-                class's loop semantics).
-        """
-        if self.try_add_edges(edges) is None:
-            raise CycleError(
-                "edge batch closes a cycle", cycle=self._last_cycle
-            )
-
-    def undo_batch(self, batch: EdgeBatch) -> None:
-        """Remove exactly what ``batch`` added (edges and merged labels).
-
-        Edge removal can never invalidate a topological order, so this
-        is O(#new-arcs) with no restoration pass.  Only meaningful for
-        the *most recent* batches touching these edges (label sets are
-        not reference counted).
-        """
-        self._rollback(batch.new_edges, batch.new_labels)
-
-    def remove_node(self, node: Node) -> None:
-        super().remove_node(node)
-        del self._ord[node]
-
-    # ------------------------------------------------------------------
-    # Order queries
-    # ------------------------------------------------------------------
-    @property
-    def last_rejected_cycle(self) -> list[Node] | None:
-        """Witness from the most recent refused insertion, if any."""
-        return self._last_cycle
-
-    def order_index(self, node: Node) -> int:
-        """The node's current index in the maintained topological order.
-
-        Indices are strictly increasing along every edge but not dense:
-        reorderings and removals leave gaps.
-        """
-        return self._ord[node]
-
-    def topological_order(self) -> list[Node]:
-        """All nodes, sorted by the maintained order."""
-        return sorted(self._succ, key=self._ord.__getitem__)
-
-    def check_order_invariant(self) -> bool:
-        """Whether every edge goes from a lower to a higher index.
-
-        Diagnostic only — the invariant is maintained by construction;
-        the certifier uses this as the trigger for its defensive
-        rebuild fallback.
-        """
-        ord_ = self._ord
-        return all(
-            ord_[source] < ord_[target]
-            for source, adj in self._succ.items()
-            for target in adj
-        )
-
-    # ------------------------------------------------------------------
-    # Pearce–Kelly internals
-    # ------------------------------------------------------------------
-    def _insert_arc(self, source: Node, target: Node) -> list[Node] | None:
-        """Structurally add the arc and restore the order.
-
-        Returns ``None`` on success, or the witness cycle (arc not
-        added) when the arc closes one.
-        """
-        if source == target:
-            return [source, source]
-        ord_ = self._ord
-        lower = ord_[target]
-        upper = ord_[source]
-        if lower > upper:  # already consistent — the common case
-            self._succ[source].add(target)
-            self._pred[target].add(source)
-            return None
-        # Affected region: order indices in [lower, upper].  Find the
-        # nodes reachable forward from target inside the region; if the
-        # search meets source, the arc closes a cycle.
-        forward: list[Node] = []
-        parent: dict[Node, Node] = {}
-        seen = {target}
-        stack = [target]
-        succ = self._succ
-        while stack:
-            node = stack.pop()
-            forward.append(node)
-            for child in succ[node]:
-                if child == source:
-                    parent[child] = node
-                    return self._witness(source, target, parent)
-                if child not in seen and ord_[child] < upper:
-                    seen.add(child)
-                    parent[child] = node
-                    stack.append(child)
-        # No cycle: find the nodes reaching source inside the region.
-        backward: list[Node] = []
-        seen_b = {source}
-        stack = [source]
-        pred = self._pred
-        while stack:
-            node = stack.pop()
-            backward.append(node)
-            for above in pred[node]:
-                if above not in seen_b and ord_[above] > lower:
-                    seen_b.add(above)
-                    stack.append(above)
-        # Local reorder: everything that reaches source shifts below
-        # everything reachable from target, reusing the same index pool.
-        backward.sort(key=ord_.__getitem__)
-        forward.sort(key=ord_.__getitem__)
-        pool = sorted(ord_[node] for node in backward + forward)
-        for node, index in zip(backward + forward, pool):
-            ord_[node] = index
-        succ[source].add(target)
-        pred[target].add(source)
-        return None
-
-    def _witness(
-        self, source: Node, target: Node, parent: dict[Node, Node]
-    ) -> list[Node]:
-        """The cycle closed by ``source -> target``: the discovered path
-        ``target -> ... -> source`` plus the refused arc."""
-        path = [source]
-        while path[-1] != target:
-            path.append(parent[path[-1]])
-        path.reverse()
-        path.append(target)
-        return path
-
-    def _rollback(
-        self,
-        new_edges: list[tuple[Node, Node]],
-        new_labels: list[tuple[Node, Node, Any]],
-    ) -> None:
-        for source, target, label in new_labels:
-            edge_labels = self._labels.get((source, target))
-            if edge_labels is not None:
-                edge_labels.discard(label)
-                if not edge_labels:
-                    del self._labels[(source, target)]
-        for source, target in new_edges:
-            self._succ[source].discard(target)
-            self._pred[target].discard(source)
-            self._labels.pop((source, target), None)
+__all__ = ["FlatBatch", "FlatPkGraph"]
 
 
 class FlatBatch:
@@ -350,9 +62,8 @@ class FlatBatch:
 class FlatPkGraph:
     """Pearce–Kelly order maintenance over integer node ids.
 
-    The same incremental topological-sort algorithm as
-    :class:`IncrementalDiGraph`, rebuilt on flat state for the
-    certification hot path:
+    The incremental topological-sort algorithm of the module docstring,
+    on flat state for the certification hot path:
 
     * nodes are dense ints handed out by :meth:`acquire_node` (released
       ids go to a freelist and are reused, so a long-running certifier
@@ -365,10 +76,9 @@ class FlatPkGraph:
     * DFS visit marks are a shared ``bytearray`` cleared via the
       just-visited lists, never reallocated.
 
-    Cycle refusal semantics match :class:`IncrementalDiGraph`: a batch
-    that would close a cycle is rolled back completely, the graph is
-    unchanged, and :attr:`last_rejected_cycle` holds the witness path
-    as node ids (first == last).
+    A batch that would close a cycle is rolled back completely, the
+    graph is unchanged, and :attr:`last_rejected_cycle` holds the
+    witness path as node ids (first == last).
     """
 
     __slots__ = (
@@ -454,8 +164,7 @@ class FlatPkGraph:
     def check_order_invariant(self) -> bool:
         """Whether every arc goes from a lower to a higher order index.
 
-        Diagnostic only, mirroring
-        :meth:`IncrementalDiGraph.check_order_invariant`.
+        Diagnostic only: the invariant is maintained by construction.
         """
         ord_ = self._ord
         return all(
@@ -549,8 +258,7 @@ class FlatPkGraph:
         """Structurally add the arc and restore the order.
 
         Returns ``None`` on success, or the witness cycle (arc not
-        added) when the arc closes one.  Identical to
-        :meth:`IncrementalDiGraph._insert_arc` modulo representation.
+        added) when the arc closes one.
         """
         if source == target:
             return [source, source]

@@ -7,21 +7,17 @@ reproducibility this module lets the caller supply a ``key`` so ties are
 broken deterministically (the RSG code passes the operation's position in
 the original schedule, producing the equivalent schedule "closest" to the
 input).
-
-:func:`all_topological_sorts` enumerates every linear extension — only used
-by the exponential baseline checkers and the exhaustive test harnesses on
-small graphs.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Hashable, Iterator
+from collections.abc import Callable, Hashable
 
 from repro.errors import CycleError
 from repro.graphs.digraph import DiGraph
 
-__all__ = ["topological_sort", "all_topological_sorts"]
+__all__ = ["topological_sort"]
 
 Node = Hashable
 
@@ -67,51 +63,3 @@ def topological_sort(
             f"({graph.node_count - len(order)} nodes unreachable)"
         )
     return order
-
-
-def all_topological_sorts(graph: DiGraph) -> Iterator[list[Node]]:
-    """Yield every topological order (linear extension) of ``graph``.
-
-    This is exponential in general; it exists to power the brute-force
-    baselines (Farrag–Özsu relative consistency and the definition-based
-    relative serializability check) on *small* instances and the property
-    tests that cross-validate Theorem 1.
-
-    Raises :class:`~repro.errors.CycleError` if the graph is cyclic.
-    """
-    in_degree = {node: graph.in_degree(node) for node in graph}
-    ready = sorted(
-        (node for node, degree in in_degree.items() if degree == 0), key=repr
-    )
-    if not ready and graph.node_count:
-        raise CycleError("graph is cyclic; no topological order exists")
-
-    prefix: list[Node] = []
-
-    def _extend() -> Iterator[list[Node]]:
-        if len(prefix) == graph.node_count:
-            yield list(prefix)
-            return
-        if not ready:
-            # Dead end: remaining nodes all have unmet predecessors, which
-            # can only happen on cyclic graphs (caught above on entry).
-            raise CycleError("graph is cyclic; no topological order exists")
-        # Iterate over a snapshot: ``ready`` mutates inside the loop.
-        for node in list(ready):
-            ready.remove(node)
-            prefix.append(node)
-            newly_ready = []
-            for succ in graph.successors(node):
-                in_degree[succ] -= 1
-                if in_degree[succ] == 0:
-                    newly_ready.append(succ)
-            ready.extend(newly_ready)
-            yield from _extend()
-            for succ in graph.successors(node):
-                in_degree[succ] += 1
-            for succ in newly_ready:
-                ready.remove(succ)
-            prefix.pop()
-            ready.append(node)
-
-    yield from _extend()

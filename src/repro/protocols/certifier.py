@@ -30,14 +30,18 @@ history.  Every arc a push creates ends in the pushing transaction
 operation, B-arcs at ``PullBackward`` of it), so once ``Ti`` commits no
 arc can ever enter its vertices again.  If, moreover, every in-arc of
 ``Ti`` comes from a retired transaction, ``Ti`` can never lie on a
-future cycle, and no live operation depends on it through a path:
-dropping it changes no future verdict (the RSG analogue of the SGT
-deletion rule).  :meth:`RsgCertifier.commit` records commits; once the
-history has doubled since the last compaction, one O(window) pass
-retires every committed transaction that no uncommitted transaction
-reaches in the transaction-level conflict graph, then rebuilds the
-engine over what is left by replaying it in order.  That replay cannot
-fail either: its arcs are the old graph's arcs among the kept vertices.
+future cycle, and since all its ancestors are retired, no depends-on
+path between live operations runs through it: dropping it changes no
+future verdict (the RSG analogue of the SGT deletion rule).  Live
+transactions may still depend on ``Ti`` (a reader of its committed
+writes does); every arc touching ``Ti`` then leaves it, so the arcs
+among live vertices are unchanged.  :meth:`RsgCertifier.commit`
+records commits; once the history has doubled since the last
+compaction, one O(window) pass retires every committed transaction
+that no uncommitted transaction reaches in the transaction-level
+conflict graph, then rebuilds the engine over what is left by
+replaying it in order.  That replay cannot fail either: its arcs are
+the old graph's arcs among the kept vertices.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from repro.core.operations import Operation
 from repro.core.rsg import ArcKind, IncrementalRsg
 from repro.core.transactions import Transaction
 from repro.errors import CycleError
-from repro.graphs.incremental import IncrementalDiGraph
+from repro.graphs.digraph import DiGraph
 from repro.obs.bus import NULL_BUS, TraceBus
 from repro.obs.events import EventKind, Reason
 from repro.obs.explain import RejectionWitness, witness_from_certifier
@@ -121,9 +125,14 @@ class RsgCertifier:
         self.bus: TraceBus = NULL_BUS
 
     @property
-    def graph(self) -> IncrementalDiGraph:
+    def graph(self) -> DiGraph:
         """The current RSG over the live window: the operations of every
-        declared, not yet retired transaction."""
+        declared, not yet retired transaction.
+
+        A labelled :class:`~repro.graphs.digraph.DiGraph` materialized
+        from the engine on access (cached until its next mutation);
+        certification itself never builds it.
+        """
         return self._engine.graph
 
     @property

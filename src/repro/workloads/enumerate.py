@@ -267,9 +267,9 @@ def shared_prefix_rsgs(
     iteration step, which is exactly the census/containment access
     pattern.  ``is_acyclic``, ``cycle``, and ``dependency`` stay valid
     because they are materialized per yield.  For cyclic schedules the
-    borrowed graph omits arcs of operations past the first
-    cycle-closing one; the reported witness is still a genuine cycle of
-    the full RSG (monotonicity: arcs only accumulate along a prefix).
+    reported witness is the cycle closed by the first refused
+    operation, a genuine cycle of the full RSG (monotonicity: arcs only
+    accumulate along a prefix).
     """
     if engine is None:
         engine = IncrementalRsg(spec, maintain_reach=True)
@@ -294,7 +294,7 @@ def shared_prefix_rsgs(
             else:
                 engine.push_uncertified(op)
             current.append(op)
-        yield schedule, engine.materialize(schedule, copy_graph=False)
+        yield schedule, engine.materialize(schedule)
 
 
 def rsg_interleavings(

@@ -1,5 +1,5 @@
-"""Tests for the prefix-extension APIs: ``Schedule.prefix``,
-``RelativeSerializationGraph.extended_with`` and ``IncrementalRsg``."""
+"""Tests for the prefix-extension APIs: ``Schedule.prefix`` and
+``IncrementalRsg``."""
 
 import pytest
 
@@ -7,8 +7,9 @@ from repro.core.dependency import DependencyRelation
 from repro.core.rsg import IncrementalRsg, RelativeSerializationGraph
 from repro.core.schedules import Schedule
 from repro.core.transactions import Transaction
-from repro.errors import GraphError, InvalidScheduleError
+from repro.errors import InvalidScheduleError
 from repro.specs.builders import absolute_spec, finest_spec
+from tests.core.test_rsg import _seeded_corpus
 
 
 def _figure2_like():
@@ -33,50 +34,6 @@ class TestSchedulePrefix:
         with pytest.raises(InvalidScheduleError):
             # Program order still enforced.
             Schedule.prefix(txs, [txs[0][1]])
-
-    def test_extended_with_becomes_complete_at_the_end(self):
-        txs = [Transaction.from_notation(1, "r[x] w[x]")]
-        prefix = Schedule.prefix(txs, [txs[0][0]])
-        full = prefix.extended_with(txs[0][1])
-        assert full.is_complete
-
-    def test_dependency_extension_matches_scratch(self):
-        txs, _spec = _figure2_like()
-        order = [txs[0][0], txs[1][0], txs[2][0], txs[0][1], txs[1][1]]
-        parent = Schedule.prefix(txs, order[:-1])
-        child = parent.extended_with(order[-1])
-        extended = DependencyRelation(parent).extended_with(child)
-        scratch = DependencyRelation(child)
-        for earlier in order:
-            for later in order:
-                assert extended.depends_on(later, earlier) == (
-                    scratch.depends_on(later, earlier)
-                )
-
-
-class TestExtendedWith:
-    def test_matches_from_scratch_construction(self):
-        txs, spec = _figure2_like()
-        order = [
-            txs[0][0], txs[1][0], txs[2][0],
-            txs[0][1], txs[1][1], txs[2][1],
-        ]
-        rsg = RelativeSerializationGraph(Schedule.prefix(txs, []), spec)
-        for position, op in enumerate(order):
-            rsg = rsg.extended_with(op)
-            oracle = RelativeSerializationGraph(
-                Schedule.prefix(txs, order[: position + 1]), spec
-            )
-            assert _edge_set(rsg.graph) == _edge_set(oracle.graph)
-            assert rsg.is_acyclic == oracle.is_acyclic
-
-    def test_requires_the_full_graph(self):
-        txs, spec = _figure2_like()
-        partial = RelativeSerializationGraph(
-            Schedule.prefix(txs, []), spec, include_b_arcs=False
-        )
-        with pytest.raises(GraphError):
-            partial.extended_with(txs[0][0])
 
 
 class TestIncrementalRsg:
@@ -150,3 +107,36 @@ class TestIncrementalRsg:
         dependency = engine.dependency_for(schedule)
         scratch = DependencyRelation(schedule)
         assert list(dependency.pairs()) == list(scratch.pairs())
+
+
+class TestPrefixByPrefix:
+    """``IncrementalRsg(maintain_reach=True)`` against from-scratch
+    construction at every prefix of a seeded corpus, cyclic prefixes
+    (after ``push_uncertified``) included."""
+
+    def test_every_prefix_matches_scratch(self):
+        cyclic_prefixes = 0
+        for schedule, spec in _seeded_corpus(11, 150):
+            txs = schedule.transaction_list
+            engine = IncrementalRsg(spec, maintain_reach=True)
+            for tx in txs:
+                engine.add_transaction(tx)
+            ops = schedule.operations
+            for n, op in enumerate(ops, start=1):
+                if not (engine.acyclic and engine.try_push(op)):
+                    engine.push_uncertified(op)
+                prefix = Schedule.prefix(txs, ops[:n])
+                view = engine.materialize(prefix)
+                scratch = RelativeSerializationGraph(prefix, spec)
+                assert _edge_set(view.graph) == _edge_set(scratch.graph)
+                assert view.is_acyclic == scratch.is_acyclic
+                if not view.is_acyclic:
+                    cyclic_prefixes += 1
+                    witness = view.cycle
+                    assert witness[0] == witness[-1]
+                    for a, b in zip(witness, witness[1:]):
+                        assert scratch.graph.has_edge(a, b)
+                assert list(engine.dependency_for(prefix).pairs()) == list(
+                    DependencyRelation(prefix).pairs()
+                )
+        assert cyclic_prefixes > 50  # the cyclic branch is exercised

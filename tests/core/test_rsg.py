@@ -1,5 +1,7 @@
 """Unit tests for the relative serialization graph (Definition 3)."""
 
+import random
+
 import pytest
 
 from repro.core.checkers import is_relatively_serial
@@ -12,7 +14,11 @@ from repro.core.schedules import Schedule, conflict_equivalent
 from repro.core.transactions import Transaction
 from repro.errors import CycleError, InvalidSpecError
 from repro.paper.figures import FIGURE3_EXPECTED_ARCS
-from repro.specs.builders import absolute_spec
+from repro.specs.builders import absolute_spec, random_spec
+from repro.workloads.random_schedules import (
+    random_interleaving,
+    random_transactions,
+)
 
 
 class TestConstruction:
@@ -92,6 +98,42 @@ class TestAcyclicity:
     def test_cycle_is_cached(self, fig3):
         rsg = RelativeSerializationGraph(fig3.schedule("S2"), fig3.spec)
         assert rsg.cycle is rsg.cycle  # same object, computed once
+
+
+def _seeded_corpus(seed, size):
+    """``size`` random schedules over 3-4 transactions of 2-4
+    operations, each under a random spec keeping half the cuts."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(size):
+        transactions = random_transactions(
+            rng.randint(3, 4), (2, 4), rng.randint(3, 5), seed=rng
+        )
+        spec = random_spec(transactions, 0.5, seed=rng)
+        corpus.append((random_interleaving(transactions, rng), spec))
+    return corpus
+
+
+class TestWitnessIsAccessOrderFree:
+    """The witness cycle must not depend on whether ``.graph`` was
+    materialized before ``.cycle`` was read: ``repro rsg`` (which
+    prints arc counts first) and ``repro witness``/``explain`` must
+    report the same cycle."""
+
+    def test_seeded_corpus(self):
+        cyclic = 0
+        for schedule, spec in _seeded_corpus(3, 400):
+            graph_first = RelativeSerializationGraph(schedule, spec)
+            graph_first.graph
+            cycle_first = RelativeSerializationGraph(schedule, spec)
+            witness = cycle_first.cycle
+            assert graph_first.cycle == witness
+            if witness is not None:
+                cyclic += 1
+                assert witness[0] == witness[-1]
+                for a, b in zip(witness, witness[1:]):
+                    assert graph_first.graph.has_edge(a, b)
+        assert cyclic > 100  # the corpus exercises the cyclic branch
 
 
 class TestTheoremOneConstructive:

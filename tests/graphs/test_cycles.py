@@ -1,6 +1,6 @@
 """Unit tests for cycle detection and reachability."""
 
-from repro.graphs.cycles import find_cycle, has_path, is_acyclic
+from repro.graphs.cycles import find_cycle, is_acyclic
 from repro.graphs.digraph import DiGraph
 
 
@@ -50,28 +50,3 @@ class TestFindCycle:
         assert is_acyclic(g)
         g.add_edge(5000, 0)
         assert not is_acyclic(g)
-
-
-class TestHasPath:
-    def test_direct_edge(self):
-        g = DiGraph.from_edges([("a", "b")])
-        assert has_path(g, "a", "b")
-        assert not has_path(g, "b", "a")
-
-    def test_transitive_path(self):
-        g = DiGraph.from_edges([("a", "b"), ("b", "c")])
-        assert has_path(g, "a", "c")
-
-    def test_trivial_empty_path_does_not_count(self):
-        g = DiGraph()
-        g.add_node("a")
-        assert not has_path(g, "a", "a")
-
-    def test_cycle_through_node_counts(self):
-        g = DiGraph.from_edges([("a", "b"), ("b", "a")])
-        assert has_path(g, "a", "a")
-
-    def test_missing_nodes_are_unreachable(self):
-        g = DiGraph.from_edges([("a", "b")])
-        assert not has_path(g, "a", "z")
-        assert not has_path(g, "z", "a")

@@ -3,10 +3,8 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.graphs.closure import descendants, transitive_closure
 from repro.graphs.cycles import find_cycle, is_acyclic
 from repro.graphs.digraph import DiGraph
-from repro.graphs.scc import condensation, strongly_connected_components
 from repro.graphs.toposort import topological_sort
 
 NODES = list(range(8))
@@ -69,44 +67,3 @@ def test_dags_are_acyclic_and_sortable(g):
     assert len(order) == g.node_count
     position = {node: i for i, node in enumerate(order)}
     assert all(position[a] < position[b] for a, b in g.edges())
-
-
-@given(dags())
-@settings(max_examples=80, deadline=None)
-def test_closure_matches_descendants(g):
-    closure = transitive_closure(g)
-    for node in g:
-        assert closure.successors(node) == frozenset(descendants(g, node))
-
-
-@given(graphs())
-@settings(max_examples=100, deadline=None)
-def test_sccs_partition_the_nodes(g):
-    components = strongly_connected_components(g)
-    seen = [node for component in components for node in component]
-    assert len(seen) == g.node_count
-    assert set(seen) == set(g.nodes())
-
-
-@given(graphs())
-@settings(max_examples=80, deadline=None)
-def test_condensation_is_acyclic(g):
-    dag, component_of = condensation(g)
-    assert is_acyclic(dag)
-    assert set(component_of) == set(g.nodes())
-
-
-@given(graphs())
-@settings(max_examples=80, deadline=None)
-def test_mutual_reachability_iff_same_scc(g):
-    from repro.graphs.cycles import has_path
-
-    _, component_of = condensation(g)
-    nodes = g.nodes()
-    for a in nodes[:4]:
-        for b in nodes[:4]:
-            if a == b:
-                continue
-            same = component_of[a] == component_of[b]
-            mutual = has_path(g, a, b) and has_path(g, b, a)
-            assert same == mutual

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CycleError
 from repro.graphs.digraph import DiGraph
-from repro.graphs.toposort import all_topological_sorts, topological_sort
+from repro.graphs.toposort import topological_sort
 
 
 def _is_topological(graph: DiGraph, order: list) -> bool:
@@ -46,40 +46,3 @@ class TestTopologicalSort:
 
     def test_empty_graph(self):
         assert topological_sort(DiGraph()) == []
-
-
-class TestAllTopologicalSorts:
-    def test_enumerates_all_linear_extensions(self):
-        g = DiGraph.from_edges([("a", "b")])
-        g.add_node("c")
-        orders = {tuple(order) for order in all_topological_sorts(g)}
-        # c floats freely among a<b: 3 positions.
-        assert orders == {
-            ("a", "b", "c"),
-            ("a", "c", "b"),
-            ("c", "a", "b"),
-        }
-
-    def test_every_result_is_topological(self):
-        g = DiGraph.from_edges([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
-        results = list(all_topological_sorts(g))
-        assert results
-        for order in results:
-            assert _is_topological(g, order)
-
-    def test_chain_has_single_extension(self):
-        g = DiGraph.from_edges([("a", "b"), ("b", "c")])
-        assert [tuple(o) for o in all_topological_sorts(g)] == [
-            ("a", "b", "c")
-        ]
-
-    def test_antichain_yields_factorial_many(self):
-        g = DiGraph()
-        for node in "abcd":
-            g.add_node(node)
-        assert sum(1 for _ in all_topological_sorts(g)) == 24
-
-    def test_cycle_raises(self):
-        g = DiGraph.from_edges([("a", "b"), ("b", "a")])
-        with pytest.raises(CycleError):
-            list(all_topological_sorts(g))

@@ -1,10 +1,14 @@
 """Integration tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 from repro.io.notation import Problem, render_problem
 from repro.paper import figure1
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 FIGURE1_FILE = render_problem(
     Problem(
@@ -87,6 +91,16 @@ class TestWitness:
         code = main(["witness", str(path), "--schedule", "bad"])
         assert code == 1
         assert "not relatively serializable" in capsys.readouterr().err
+
+    def test_rsg_and_witness_report_the_same_cycle(self, capsys):
+        # `rsg` materializes the graph before reading the cycle;
+        # `witness` reads the cycle first.  Both must print one witness.
+        path = str(EXAMPLES / "figure4.txt")
+        expected = "w1[x] -> w4[t] -> w3[z] -> w2[y] -> w1[x]"
+        assert main(["rsg", path, "--schedule", "R"]) == 0
+        assert f"acyclic: no (cycle: {expected})" in capsys.readouterr().out
+        assert main(["witness", path, "--schedule", "R"]) == 1
+        assert f"(RSG cycle: {expected})" in capsys.readouterr().err
 
 
 class TestDemo:
