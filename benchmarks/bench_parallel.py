@@ -4,9 +4,9 @@ The parallel engine's claims, in the order this module checks them:
 
 * **determinism first** — any job count produces bit-identical
   censuses and batch summaries, because the schedule space is split
-  into contiguous lexicographic-rank blocks (each worker re-seeding
-  its warm shared-prefix RSG engine at its block-start rank) and
-  results merge in block order — a reassociation of the serial fold.
+  into contiguous lexicographic-rank blocks (each worker entering
+  the enumeration at its block-start rank) and results merge in
+  block order — a reassociation of the serial fold.
   Asserted here with ``pickle``-level byte equality on every run;
 * **flat payloads** — sweep inputs register once with
   :mod:`repro.parallel.registry` and ship once per warm-pool build;

@@ -28,10 +28,10 @@ import time
 from pathlib import Path
 
 from benchmarks._report import emit, record_json
+from perfbench.harness import nearest_rank
 from repro.analysis.tables import format_table
 from repro.service import RsrServer, ServiceConfig, ServiceClient, wire
 from repro.service.client import ServiceError
-from repro.sim.metrics import nearest_rank
 
 QUICK = os.environ.get("BENCH_QUICK") == "1"
 
@@ -124,8 +124,8 @@ async def _run_fleet(n_clients, objects_for):
         "shed_begins": shed,
         "retry_after_ms": retry_hints,
         "tx_per_s": round(committed / wall, 1) if wall else 0.0,
-        "p50_ms": round(nearest_rank(latencies, 50), 2),
-        "p99_ms": round(nearest_rank(latencies, 99), 2),
+        "p50_ms": round(nearest_rank(sorted(latencies), 50), 2),
+        "p99_ms": round(nearest_rank(sorted(latencies), 99), 2),
         "wall_s": round(wall, 3),
     }
 

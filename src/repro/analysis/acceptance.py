@@ -57,17 +57,12 @@ def acceptance_for_spec(
 ) -> ClassCensus:
     """Census over ``samples`` uniform random schedules under ``spec``.
 
-    The population is classified with prefix sharing (sorted, one
-    incremental RSG engine) — counts are order-independent, so the
-    result matches a plain per-schedule census.  ``jobs > 1`` splits
-    the sorted population over worker processes (identical result; see
-    :mod:`repro.parallel`).
+    ``jobs > 1`` splits the population over worker processes (identical
+    result; see :mod:`repro.parallel`).
     """
     rng = random.Random(seed)
     population = random_schedules(transactions, samples, rng)
-    return census(
-        population, spec, consistency_budget, shared_prefixes=True, jobs=jobs
-    )
+    return census(population, spec, consistency_budget, jobs=jobs)
 
 
 def acceptance_sweep(
@@ -89,8 +84,8 @@ def acceptance_sweep(
     directly comparable (and monotone in the unit granularity).
 
     ``jobs > 1`` classifies each row's population across worker
-    processes (sorted contiguous blocks, ordered merge) — rows are
-    identical to the serial sweep.
+    processes (contiguous blocks, ordered merge) — rows are identical
+    to the serial sweep.
     """
     transactions = random_transactions(
         n_transactions,
@@ -103,13 +98,7 @@ def acceptance_sweep(
     rows = []
     for unit_size in unit_sizes:
         spec = uniform_spec(transactions, unit_size)
-        result = census(
-            population,
-            spec,
-            consistency_budget,
-            shared_prefixes=True,
-            jobs=jobs,
-        )
+        result = census(population, spec, consistency_budget, jobs=jobs)
         decided = result.total - result.undecided_consistent
         rows.append(
             AcceptanceRow(

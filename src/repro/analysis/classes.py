@@ -19,7 +19,7 @@ from repro.core.rsg import RelativeSerializationGraph
 from repro.core.schedules import Schedule
 from repro.core.serializability import is_conflict_serializable
 from repro.core.transactions import Transaction
-from repro.workloads.enumerate import rsg_interleavings, shared_prefix_rsgs
+from repro.workloads.enumerate import all_interleavings
 
 __all__ = ["ClassCensus", "census", "census_exhaustive"]
 
@@ -86,7 +86,6 @@ def census(
     spec: RelativeAtomicitySpec,
     consistency_budget: int | None = 200_000,
     *,
-    shared_prefixes: bool = False,
     jobs: int = 1,
 ) -> ClassCensus:
     """Count class memberships over ``schedules``.
@@ -95,17 +94,9 @@ def census(
     of the interesting set differences (e.g. relatively serial but not
     relatively consistent — the Figure 4 phenomenon).
 
-    With ``shared_prefixes=True`` the population is sorted and driven
-    through one incremental RSG engine
-    (:func:`~repro.workloads.enumerate.shared_prefix_rsgs`), so each
-    schedule pays only for its delta against the previous one instead
-    of a full closure-and-graph rebuild.  Counts are identical; which
-    schedule becomes a witness may differ (first-found in sorted rather
-    than input order).
-
-    ``jobs > 1`` classifies the (sorted, prefix-shared) population in
-    contiguous blocks across worker processes with an ordered merge —
-    results are identical to ``shared_prefixes=True`` serially; see
+    ``jobs > 1`` classifies the population in contiguous blocks across
+    worker processes with an ordered merge — same counts and same
+    witnesses as the serial call; see
     :func:`repro.parallel.census_schedules`.
     """
     if jobs != 1:
@@ -114,31 +105,19 @@ def census(
         return census_schedules(
             list(schedules), spec, consistency_budget, jobs=jobs
         )
-    if shared_prefixes:
-        ordered = sorted(schedules, key=_lex_key)
-        pairs: Iterable[tuple[Schedule, RelativeSerializationGraph]] = (
-            shared_prefix_rsgs(spec, ordered)
-        )
-    else:
-        pairs = (
-            (schedule, RelativeSerializationGraph(schedule, spec))
-            for schedule in schedules
-        )
-    return _census_pairs(pairs, spec, consistency_budget)
+    return _census_schedules(schedules, spec, consistency_budget)
 
 
-def _lex_key(schedule: Schedule) -> tuple[tuple[int, int], ...]:
-    """Sort key grouping schedules by common prefixes."""
-    return tuple((op.tx, op.index) for op in schedule.operations)
-
-
-def _census_pairs(
-    pairs: Iterable[tuple[Schedule, RelativeSerializationGraph]],
+def _census_schedules(
+    schedules: Iterable[Schedule],
     spec: RelativeAtomicitySpec,
     consistency_budget: int | None,
 ) -> ClassCensus:
+    """The census fold, building each schedule's RSG from scratch (the
+    serial path and every parallel worker run exactly this loop)."""
     result = ClassCensus()
-    for schedule, rsg in pairs:
+    for schedule in schedules:
+        rsg = RelativeSerializationGraph(schedule, spec)
         result.total += 1
         serial = schedule.is_serial
         atomic = is_relatively_atomic(schedule, spec)
@@ -201,16 +180,14 @@ def census_exhaustive(
 ) -> ClassCensus:
     """Census over *every* schedule of the transaction set.
 
-    Enumeration order is lexicographic, so consecutive schedules share
-    long prefixes — the census rides one incremental RSG engine
-    (:func:`~repro.workloads.enumerate.rsg_interleavings`) instead of
-    rebuilding the graph per schedule.  Only sensible at small sizes;
-    see :func:`repro.workloads.enumerate.count_interleavings` first.
+    Schedules are visited in lexicographic enumeration order
+    (:func:`~repro.workloads.enumerate.all_interleavings`).  Only
+    sensible at small sizes; see
+    :func:`repro.workloads.enumerate.count_interleavings` first.
 
     ``jobs > 1`` fans the schedule space out over worker processes in
-    contiguous rank blocks (each worker seeds its own engine at its
-    block start) and merges in block order — identical counts *and*
-    witnesses; see :func:`repro.parallel.census_exhaustive_parallel`.
+    contiguous rank blocks and merges in block order — identical counts
+    *and* witnesses; see :func:`repro.parallel.census_exhaustive_parallel`.
     """
     if jobs != 1:
         from repro.parallel.sweeps import census_exhaustive_parallel
@@ -218,6 +195,6 @@ def census_exhaustive(
         return census_exhaustive_parallel(
             transactions, spec, consistency_budget, jobs=jobs
         )
-    return _census_pairs(
-        rsg_interleavings(transactions, spec), spec, consistency_budget
+    return _census_schedules(
+        all_interleavings(transactions), spec, consistency_budget
     )

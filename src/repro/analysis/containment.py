@@ -84,21 +84,13 @@ def check_containments(
     spec: RelativeAtomicitySpec,
     consistency_budget: int | None = 200_000,
     *,
-    shared_prefixes: bool = False,
     jobs: int = 1,
 ) -> ContainmentReport:
     """Check every expected containment over ``schedules``.
 
-    ``shared_prefixes=True`` sorts the population and classifies it
-    through one incremental RSG engine (schedules pay for their delta
-    against the previous one, not a per-schedule rebuild); violations
-    and witnesses are found on the same population, just visited in
-    sorted order.
-
-    ``jobs > 1`` checks the sorted population in contiguous blocks
-    across worker processes with an ordered merge — identical to the
-    ``shared_prefixes=True`` serial report; see
-    :func:`repro.parallel.check_containments_parallel`.
+    ``jobs > 1`` checks the population in contiguous blocks across
+    worker processes with an ordered merge — the same report as the
+    serial call; see :func:`repro.parallel.check_containments_parallel`.
     """
     if jobs != 1:
         from repro.parallel.sweeps import check_containments_parallel
@@ -106,36 +98,19 @@ def check_containments(
         return check_containments_parallel(
             list(schedules), spec, consistency_budget, jobs=jobs
         )
-    if shared_prefixes:
-        from repro.workloads.enumerate import shared_prefix_rsgs
-
-        from repro.analysis.classes import _lex_key
-
-        ordered = sorted(schedules, key=_lex_key)
-        pairs: Iterable[tuple[Schedule, RelativeSerializationGraph]] = (
-            shared_prefix_rsgs(spec, ordered)
-        )
-    else:
-        pairs = (
-            (schedule, RelativeSerializationGraph(schedule, spec))
-            for schedule in schedules
-        )
-    return _containment_pairs(pairs, spec, consistency_budget)
+    return _containment_schedules(schedules, spec, consistency_budget)
 
 
-def _containment_pairs(
-    pairs: Iterable[tuple[Schedule, RelativeSerializationGraph]],
+def _containment_schedules(
+    schedules: Iterable[Schedule],
     spec: RelativeAtomicitySpec,
     consistency_budget: int | None,
 ) -> ContainmentReport:
-    """Check the containments over prepared ``(schedule, rsg)`` pairs.
-
-    The inner loop of :func:`check_containments`, split out so the
-    parallel sweep workers can drive it with a warm per-process engine
-    (see :mod:`repro.parallel.sweeps`).
-    """
+    """The containment fold, building each schedule's RSG from scratch
+    (the serial path and every parallel worker run exactly this loop)."""
     report = ContainmentReport()
-    for schedule, rsg in pairs:
+    for schedule in schedules:
+        rsg = RelativeSerializationGraph(schedule, spec)
         report.checked += 1
         membership: dict[str, bool | None] = {
             "serial": schedule.is_serial,

@@ -71,22 +71,6 @@ class DependencyRelation:
             reach[p] = bits
         self._reach = reach
 
-    @classmethod
-    def _from_state(
-        cls, schedule: Schedule, reach: list[int], transitive: bool
-    ) -> "DependencyRelation":
-        """Adopt precomputed reachability bitsets (no O(n^2) rebuild).
-
-        Used by the incremental RSG machinery, which maintains the
-        closure operation by operation; ``reach`` must follow the
-        constructor's convention and is adopted without copying.
-        """
-        relation = cls.__new__(cls)
-        relation._schedule = schedule
-        relation._transitive = transitive
-        relation._reach = reach
-        return relation
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

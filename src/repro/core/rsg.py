@@ -30,7 +30,7 @@ weakened variants can be constructed and measured.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.core.atomicity import RelativeAtomicitySpec
 from repro.core.dependency import DependencyRelation
@@ -120,38 +120,7 @@ class RelativeSerializationGraph:
             include_f_arcs, include_b_arcs
         )
         self._graph_cache: DiGraph | None = None
-        # None means "expand the arc masks" (a bound self._materialize
-        # here would be a reference cycle, keeping every RSG alive
-        # until the cyclic collector runs).
-        self._graph_factory: Callable[[], DiGraph] | None = None
         self._cycle: list[Operation] | None | _Unset = _UNSET
-
-    @classmethod
-    def _from_parts(
-        cls,
-        schedule: Schedule,
-        spec: RelativeAtomicitySpec,
-        dependency: DependencyRelation,
-        cycle: list[Operation] | None,
-        graph_factory: Callable[[], DiGraph],
-    ) -> "RelativeSerializationGraph":
-        """Assemble an RSG from already-computed parts (no rebuild).
-
-        :class:`IncrementalRsg` uses this to hand out RSG views without
-        paying the O(n^2) closure and arc construction again.  The
-        verdict and its witness (``cycle``) come with the parts;
-        ``graph_factory`` defers the adjacency materialization until
-        :attr:`graph` is first touched, so views whose consumers only
-        ask for acyclicity never build a graph at all.
-        """
-        rsg = object.__new__(cls)
-        rsg._schedule = schedule
-        rsg._spec = spec
-        rsg._dependency = dependency
-        rsg._graph_cache = None
-        rsg._graph_factory = graph_factory
-        rsg._cycle = cycle
-        return rsg
 
     def _build_arcs(
         self, include_f_arcs: bool, include_b_arcs: bool
@@ -244,7 +213,7 @@ class RelativeSerializationGraph:
                         masks[key] = get(key, 0) | _B_BIT
         return ops_table, masks
 
-    def _materialize(self) -> DiGraph:
+    def _build_graph(self) -> DiGraph:
         """Expand the id-space arc masks into the labelled DiGraph."""
         graph = DiGraph()
         for op in self._schedule.operations:
@@ -323,10 +292,7 @@ class RelativeSerializationGraph:
         (:attr:`is_acyclic`) never needs it.
         """
         if self._graph_cache is None:
-            factory = self._graph_factory
-            self._graph_cache = (
-                self._materialize() if factory is None else factory()
-            )
+            self._graph_cache = self._build_graph()
         return self._graph_cache
 
     @property
@@ -423,9 +389,9 @@ def _pull_row(
 class IncrementalRsg:
     """The RSG over a granted prefix, maintained operation by operation.
 
-    This is the engine under both the online certifier
-    (:class:`~repro.protocols.certifier.RsgCertifier`) and the offline
-    prefix-sharing enumerators: a stack of granted operations with
+    This is the engine under the online certifier
+    (:class:`~repro.protocols.certifier.RsgCertifier`): a stack of
+    granted operations with
 
     * ``try_push`` — append one operation, deriving its D/F/B arcs from
       per-object trackers (O(#new-arcs), not O(history)) and inserting
@@ -434,16 +400,14 @@ class IncrementalRsg:
       keeps an online topological order.  A cycle-closing push is
       refused with the graph left untouched.
     * ``push_uncertified`` — append an operation *without* inserting
-      its arcs, used by enumerators that must keep walking extensions
-      of a prefix already known to be cyclic (arcs only accumulate, so
-      every extension stays cyclic; the stored witness remains valid).
+      its arcs, for feeds that keep walking extensions of a prefix
+      already known to be cyclic (arcs only accumulate, so every
+      extension stays cyclic).
     * ``pop`` — undo the latest push in O(#its-arcs): edge removal can
       never invalidate a topological order, so no restoration pass.
 
-    Per-operation ancestor bitsets double as the transitive
-    ``depends-on`` closure, so a :class:`~repro.core.dependency.
-    DependencyRelation` for the current prefix is available for free
-    (``maintain_reach=True``).
+    Offline analysis does not use this engine: it builds
+    :class:`RelativeSerializationGraph` from scratch per schedule.
 
     Internally everything lives in flat, integer-indexed state: every
     declared operation owns a node id in a :class:`FlatPkGraph`
@@ -456,12 +420,7 @@ class IncrementalRsg:
     allocates almost nothing.
     """
 
-    def __init__(
-        self,
-        spec: RelativeAtomicitySpec,
-        *,
-        maintain_reach: bool = False,
-    ) -> None:
+    def __init__(self, spec: RelativeAtomicitySpec) -> None:
         self._spec = spec
         self._flat = FlatPkGraph()
         # Node-id space: _ids[tx_id][index] is the flat node id of that
@@ -478,15 +437,10 @@ class IncrementalRsg:
         # closed means a new operation's ancestors are a plain OR of
         # the covering set's rows, with no per-member ``1 << p`` big-int
         # shifts on the hot path.  Rows pushed while the prefix is
-        # cyclic are sentinel zeros unless ``maintain_reach`` is on:
-        # try_push raises on a cyclic prefix and pops are LIFO, so a
-        # zero row is gone before anything can read it (see
-        # push_uncertified).
+        # cyclic are sentinel zeros: try_push raises on a cyclic prefix
+        # and pops are LIFO, so a zero row is gone before anything can
+        # read it (see push_uncertified).
         self._closed: list[int] = []
-        # _reach[p] has bit n set iff history[n] depends on history[p]
-        # (the DependencyRelation convention); only kept when asked.
-        self._maintain_reach = maintain_reach
-        self._reach: list[int] = []
         # Per-push undo log: one (batch, prev_tx_pos, write_undo)
         # triple per push — the arc undo batch (None for uncertified
         # pushes), the tx's previous history position, and the
@@ -522,7 +476,6 @@ class IncrementalRsg:
         #: certification loop reads it once per operation and the
         #: attribute read skips the descriptor call frame.
         self.acyclic: bool = True
-        self._witness: list[Operation] | None = None
         self._rejection: list[Operation] | None = None
         self._rejection_ids: list[int] | None = None
         # Tentative arc triples of the most recent refused try_push:
@@ -555,9 +508,8 @@ class IncrementalRsg:
         until the next mutation — diagnostics and tests pay O(V + E)
         per epoch, the certification hot path never builds it.  Arcs
         of operations appended by :meth:`push_uncertified` never enter
-        the flat engine; the view derives them from the ancestor
-        closure, which is only kept under ``maintain_reach=True``, so
-        without it a cyclic prefix's view stops at the certified arcs.
+        the flat engine, so a cyclic prefix's view stops at the
+        certified arcs.
         """
         if self._graph_cache is None or self._graph_version != self._mutations:
             self._graph_cache = self._materialized_graph()
@@ -568,11 +520,6 @@ class IncrementalRsg:
     def history(self) -> list[Operation]:
         """The pushed operations, in order (do not mutate)."""
         return self._history
-
-    @property
-    def witness(self) -> list[Operation] | None:
-        """The cycle that doomed this prefix, when not acyclic."""
-        return self._witness
 
     @property
     def last_rejected_cycle(self) -> list[Operation] | None:
@@ -763,25 +710,22 @@ class IncrementalRsg:
         """Append ``op`` without adding its arcs to the graph.
 
         Marks the prefix cyclic from this point on (callers do this
-        right after a refused :meth:`try_push`, whose witness is kept:
-        arcs only accumulate as the prefix grows, so the refused
-        operation's cycle exists in the full RSG of every extension).
-        The per-object trackers keep growing so that a later
-        :meth:`pop` restores exact state; the dependency closure only
-        grows under ``maintain_reach=True`` (which materialized views
-        require).  Without it, cyclic-era closure rows are sentinel
-        zeros: they are provably never read — :meth:`try_push` raises
-        while the prefix is cyclic, and pops are LIFO, so by the time
-        the prefix is acyclic again every zero row (and every tracker
-        entry pointing at one) has been removed.
+        right after a refused :meth:`try_push`: arcs only accumulate as
+        the prefix grows, so the refused operation's cycle exists in
+        the full RSG of every extension).  Only the per-object trackers
+        are updated, so that a later :meth:`pop` restores exact state;
+        no arcs are derived and no cycle test runs.  The closure row is
+        a sentinel zero: it is provably never read — :meth:`try_push`
+        raises while the prefix is cyclic, and pops are LIFO, so by the
+        time the prefix is acyclic again every zero row (and every
+        tracker entry pointing at one) has been removed.
         """
         if self._uncertified_from is None:
             self._uncertified_from = len(self._history)
             self.acyclic = False
-            self._witness = self._rejection
-        # Manually inlined _ancestors_of + _record: once a prefix goes
-        # cyclic every remaining operation lands here, so this is as
-        # hot as try_push and the two call frames are worth eliding.
+        # Manually inlined _record: once a prefix goes cyclic every
+        # remaining operation lands here, so this is as hot as try_push
+        # and the call frame is worth eliding.
         n = len(self._history)
         tx = op.tx
         obj = op.obj
@@ -789,62 +733,24 @@ class IncrementalRsg:
         reads_since_write = self._reads_since_write
         prev_tx_pos = last_of_tx.get(tx)
         last_of_tx[tx] = n
-        w = self._last_write.get(obj)
         write_undo = None
         if op.op_type is OpType.WRITE:
-            reads = reads_since_write.get(obj)
-            write_undo = (w, reads)
+            write_undo = (
+                self._last_write.get(obj), reads_since_write.get(obj)
+            )
             self._last_write[obj] = n
             reads_since_write[obj] = []
         else:
-            reads = None
             since = reads_since_write.get(obj)
             if since is None:
                 reads_since_write[obj] = [n]
             else:
                 since.append(n)
-        if self._maintain_reach:
-            closed = self._closed
-            anc = 0
-            if prev_tx_pos is not None:
-                anc = closed[prev_tx_pos]
-            if w is not None:
-                anc |= closed[w]
-            if reads:
-                for r in reads:
-                    anc |= closed[r]
-            reach = self._reach
-            bit = 1 << n
-            bits = anc
-            while bits:
-                low = bits & -bits
-                reach[low.bit_length() - 1] |= bit
-                bits ^= low
-            reach.append(0)
-            row = anc | bit
-        else:
-            row = 0
         self._hist_append(op)
         self._hist_ids_append(self._ids[tx][op.index])
-        self._closed_append(row)
+        self._closed_append(0)
         self._log_append((None, prev_tx_pos, write_undo))
         self._mutations += 1
-
-    def reset(self) -> None:
-        """Pop the entire history, keeping every declared transaction.
-
-        The warm-worker hook: a pooled engine is reset between tasks
-        instead of rebuilt, so its flat graph's node ids, freelists,
-        undo-batch pools, and arc buffers are reused across a whole
-        sweep.  Equivalent to calling :meth:`pop` until empty, plus
-        clearing rejection diagnostics from the previous task.
-        """
-        while self._history:
-            self.pop()
-        self._rejection = None
-        self._rejection_ids = None
-        self._rejection_arcs = None
-        self._labelled_rejection_cache = None
 
     def pop(self) -> Operation:
         """Undo the most recent push and return its operation."""
@@ -853,7 +759,7 @@ class IncrementalRsg:
         op = self._history.pop()
         self._hist_ids.pop()
         n = len(self._history)
-        closed = self._closed.pop()
+        self._closed.pop()
         batch, prev_tx_pos, write_undo = self._log.pop()
         if batch is not None:
             self._flat.undo_batch(batch)
@@ -861,16 +767,6 @@ class IncrementalRsg:
         if self._uncertified_from is not None and self._uncertified_from >= n:
             self._uncertified_from = None
             self.acyclic = True
-            self._witness = None
-        if self._maintain_reach:
-            self._reach.pop()
-            mask = ~(1 << n)
-            reach = self._reach
-            bits = closed ^ (1 << n)
-            while bits:
-                low = bits & -bits
-                reach[low.bit_length() - 1] &= mask
-                bits ^= low
         # Per-object trackers.
         if prev_tx_pos is None:
             del self._last_of_tx[op.tx]
@@ -890,41 +786,6 @@ class IncrementalRsg:
             self._reads_since_write[op.obj].pop()
         self._mutations += 1
         return op
-
-    # ------------------------------------------------------------------
-    # Materialization
-    # ------------------------------------------------------------------
-    def dependency_for(self, schedule: Schedule) -> DependencyRelation:
-        """The ``depends-on`` relation of the current prefix, for free.
-
-        ``schedule`` must be over exactly the pushed operations (the
-        caller usually just built it from :attr:`history`).  Requires
-        ``maintain_reach=True``.
-        """
-        if not self._maintain_reach:
-            raise GraphError(
-                "dependency_for requires maintain_reach=True"
-            )
-        return DependencyRelation._from_state(
-            schedule, list(self._reach), transitive=True
-        )
-
-    def materialize(self, schedule: Schedule) -> RelativeSerializationGraph:
-        """A :class:`RelativeSerializationGraph` view of the prefix.
-
-        ``schedule`` must be over exactly the pushed operations, as for
-        :meth:`dependency_for`.  The view carries the verdict and the
-        stored witness; its graph is only built (from this engine's
-        state *at access time*) if the consumer touches ``.graph``, so
-        it is valid until the next push/pop — exactly the lifetime the
-        prefix-sharing enumerators need — and costs nothing for
-        consumers that only test acyclicity.
-        """
-        cycle = None if self._uncertified_from is None else self._witness
-        return RelativeSerializationGraph._from_parts(
-            schedule, self._spec, self.dependency_for(schedule), cycle,
-            self._materialized_view,
-        )
 
     # ------------------------------------------------------------------
     # Arc derivation
@@ -1028,15 +889,6 @@ class IncrementalRsg:
                 self._reads_since_write[obj] = [n]
             else:
                 reads.append(n)
-        if self._maintain_reach:
-            reach = self._reach
-            bit = 1 << n
-            bits = anc
-            while bits:
-                low = bits & -bits
-                reach[low.bit_length() - 1] |= bit
-                bits ^= low
-            reach.append(0)
         self._hist_append(op)
         self._hist_ids_append(oid)
         self._closed_append(anc | (1 << n))
@@ -1047,8 +899,7 @@ class IncrementalRsg:
     # Materialized view
     # ------------------------------------------------------------------
     def _materialized_graph(self) -> DiGraph:
-        """Expand the flat engine, plus the arcs of the uncertified
-        suffix, into a fresh labelled :class:`DiGraph`."""
+        """Expand the flat engine into a fresh labelled :class:`DiGraph`."""
         graph = DiGraph()
         ops_of = self._ops_of
         for tx_id in self._tx_order:
@@ -1060,25 +911,8 @@ class IncrementalRsg:
             for bit, kind in _BIT_KINDS
             if mask & bit
         ]
-        if self._uncertified_from is not None:
-            kind_of = dict(_BIT_KINDS)
-            closed = self._closed
-            buf: list[int] = []
-            for n in range(self._uncertified_from, len(self._history)):
-                count = self._fill_arcs(
-                    self._history[n], self._hist_ids[n], closed[n], buf
-                )
-                for i in range(0, 3 * count, 3):
-                    source = ops_of[buf[i]]
-                    target = ops_of[buf[i + 1]]
-                    arcs.append((source, target, kind_of[buf[i + 2]]))
         graph.add_labelled_edges(arcs)
         return graph
-
-    def _materialized_view(self) -> DiGraph:
-        """Graph factory handed to borrowed RSG views (uses the
-        per-epoch cache, so sibling views within one epoch share)."""
-        return self.graph
 
 
 def is_relatively_serializable(

@@ -129,7 +129,7 @@ class Span(NamedTuple):
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
-def _materialize(pair: tuple[tuple, tuple]) -> Span:
+def _span_of(pair: tuple[tuple, tuple]) -> Span:
     """The typed span view of one raw ``(open, close)`` event pair."""
     start, end = pair
     kind = end[2]
@@ -245,7 +245,7 @@ class SpanCollector:
     @property
     def spans(self) -> tuple[Span, ...]:
         """The closed spans, in close order (lazy typed views)."""
-        return tuple(_materialize(pair) for pair in self._closed_pairs())
+        return tuple(_span_of(pair) for pair in self._closed_pairs())
 
     @property
     def open_transactions(self) -> tuple[int, ...]:
@@ -256,7 +256,7 @@ class SpanCollector:
     def text(self) -> str:
         """The closed spans as JSONL (one line per span)."""
         return "".join(
-            _materialize(pair).to_json_line() + "\n"
+            _span_of(pair).to_json_line() + "\n"
             for pair in self._closed_pairs()
         )
 

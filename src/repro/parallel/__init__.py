@@ -13,16 +13,14 @@ deterministically.  This package provides:
 * :mod:`repro.parallel.registry` — the process-local context registry:
   sweep inputs (transactions, specs, populations) register once in the
   parent, ship once per pool build through the initializer, and tasks
-  are flat ``(ctx_id, lo, hi)`` integer tuples resolved worker-side,
-  with warm per-context engines reused across chunks;
+  are flat ``(ctx_id, lo, hi)`` integer tuples resolved worker-side;
 * ranked schedule-space partitioning
   (:func:`census_exhaustive_parallel`) — contiguous lexicographic-rank
   blocks via :func:`repro.workloads.enumerate.interleaving_blocks`,
   each worker entering the enumeration tree at its block-start rank;
 * population partitioning (:func:`census_schedules`,
-  :func:`check_containments_parallel`) — sort once, register the
-  population once, split into contiguous index windows, merge in
-  order.
+  :func:`check_containments_parallel`) — register the population
+  once, split it into contiguous index windows, merge in order.
 
 The batched simulation driver (including the in-worker-reduced
 ``summarize_batch``) lives in :mod:`repro.sim.batch`.  Everything is

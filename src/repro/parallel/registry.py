@@ -14,11 +14,7 @@ flow:
   initializer (:func:`install`), never per task;
 * tasks become flat integer tuples — ``(ctx_id, rank_lo, rank_hi)`` —
   that workers resolve against their process-local copy
-  (:func:`resolve`);
-* workers keep **warm per-context engines** (:func:`cached`) — e.g. an
-  :class:`~repro.core.rsg.IncrementalRsg` with the sweep's
-  transactions already declared — reset and reused across chunks
-  instead of rebuilt per chunk.
+  (:func:`resolve`).
 
 Everything here is deliberately process-local state plus pure
 functions: there is no shared memory, no manager process, and no
@@ -33,11 +29,9 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from collections.abc import Callable
 from typing import Any
 
 __all__ = [
-    "cached",
     "clear",
     "install",
     "payload_size",
@@ -74,8 +68,7 @@ def register(payload: Any) -> int:
 
     Content-addressed: registering an equal-pickling payload again
     returns the existing id without bumping the registry version, so a
-    repeated sweep reuses both the shipped blob and the workers' warm
-    engines.  The payload must be picklable (it crosses the process
+    repeated sweep reuses the shipped blob.  The payload must be picklable (it crosses the process
     boundary exactly once, in the pool initializer).
     """
     global _NEXT_ID, _VERSION
@@ -124,16 +117,14 @@ def snapshot() -> bytes:
 def clear() -> None:
     """Drop every context (tests; also invalidates warm pools).
 
-    Context ids are never reused (the id counter survives), so worker
-    caches keyed by a cleared id can never serve a stale hit; they are
-    dropped here anyway to release the memory in the inline path.
+    Context ids are never reused (the id counter survives), so a
+    worker can never resolve a cleared id to a stale payload.
     """
     global _VERSION, _WORKER_BLOBS
     _PARENT.clear()
     _BY_DIGEST.clear()
     _WORKER_BLOBS = None
     _WORKER_PAYLOADS.clear()
-    _WORKER_CACHE.clear()
     _VERSION += 1
 
 
@@ -146,24 +137,17 @@ def clear() -> None:
 _WORKER_BLOBS: dict[int, bytes] | None = None
 #: ctx_id -> unpickled payload (lazy).
 _WORKER_PAYLOADS: dict[int, Any] = {}
-#: (ctx_id, tag) -> warm per-process object (engines, certifiers).
-_WORKER_CACHE: dict[tuple[int, str], Any] = {}
 
 
 def install(blob: bytes) -> None:
     """Pool initializer: adopt the parent's context snapshot.
 
-    Runs once per worker process per pool build.  Clears the warm
-    object cache — context ids are content-addressed, so a surviving
-    id would still match, but a rebuilt pool starts from fresh
-    processes anyway and the inline path must not leak engines across
-    :func:`clear` boundaries.
+    Runs once per worker process per pool build.
     """
     global _WORKER_BLOBS
     _, blobs = pickle.loads(blob)
     _WORKER_BLOBS = blobs
     _WORKER_PAYLOADS.clear()
-    _WORKER_CACHE.clear()
 
 
 def resolve(ctx_id: int) -> Any:
@@ -189,19 +173,3 @@ def resolve(ctx_id: int) -> Any:
         )
     return entry[0]
 
-
-def cached(ctx_id: int, tag: str, factory: Callable[[], Any]) -> Any:
-    """A warm per-process object for ``(ctx_id, tag)``.
-
-    Built by ``factory`` on first use and reused for every later task
-    of the same context in this process — the hook that keeps one
-    :class:`~repro.core.rsg.IncrementalRsg` (with its flat graph's
-    node ids, freelists, and buffers) alive across chunks.  Callers
-    reset the object per task; the registry only stores it.
-    """
-    key = (ctx_id, tag)
-    obj = _WORKER_CACHE.get(key)
-    if obj is None:
-        obj = factory()
-        _WORKER_CACHE[key] = obj
-    return obj

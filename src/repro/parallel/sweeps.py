@@ -11,17 +11,20 @@ sweep.
 Shared-nothing discipline (see :mod:`repro.parallel.registry`):
 
 * the sweep's shared inputs — transactions, spec, budget, or the whole
-  sorted population — are registered once and shipped to the warm
-  worker pool once per pool build, never per task;
+  population — are registered once and shipped to the warm worker
+  pool once per pool build, never per task;
 * tasks are flat integer tuples ``(ctx_id, lo, hi)``: a rank window
   into the interleaving space for exhaustive sweeps, an index window
-  into the registered sorted population for population sweeps;
-* each worker keeps one :class:`~repro.core.rsg.IncrementalRsg` per
-  context warm across chunks (reset between tasks, node ids and
-  buffers reused), and folds its block locally — one small
+  into the registered population for population sweeps;
+* each worker runs the serial fold (one from-scratch
+  :class:`~repro.core.rsg.RelativeSerializationGraph` per schedule)
+  over its block — one small
   :class:`~repro.analysis.classes.ClassCensus` /
   :class:`~repro.analysis.containment.ContainmentReport` summary
   crosses the boundary per chunk, not per schedule.
+
+The population keeps its input order (blocks are contiguous windows of
+it), so first-found witnesses match the serial call at any job count.
 
 Sweeps smaller than one minimum block run inline and never touch the
 pool.  Workers are module-level functions over picklable tuples, as
@@ -32,14 +35,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.analysis.classes import ClassCensus, _census_pairs, _lex_key, census
+from repro.analysis.classes import ClassCensus, _census_schedules
 from repro.analysis.containment import (
     ContainmentReport,
-    _containment_pairs,
-    check_containments,
+    _containment_schedules,
 )
 from repro.core.atomicity import RelativeAtomicitySpec
-from repro.core.rsg import IncrementalRsg
 from repro.core.schedules import Schedule
 from repro.core.transactions import Transaction
 from repro.parallel import registry
@@ -48,7 +49,6 @@ from repro.workloads.enumerate import (
     count_interleavings,
     interleaving_blocks,
     interleavings_block,
-    shared_prefix_rsgs,
 )
 
 __all__ = [
@@ -64,20 +64,6 @@ __all__ = [
 MIN_POPULATION_BLOCK = 32
 
 
-def _warm_engine(ctx_id: int, spec: RelativeAtomicitySpec) -> IncrementalRsg:
-    """This worker's reusable engine for ``ctx_id``, reset for a task."""
-
-    def build() -> IncrementalRsg:
-        engine = IncrementalRsg(spec, maintain_reach=True)
-        for transaction in spec.transaction_list:
-            engine.add_transaction(transaction)
-        return engine
-
-    engine = registry.cached(ctx_id, "rsg", build)
-    engine.reset()
-    return engine
-
-
 # ----------------------------------------------------------------------
 # Exhaustive census over the ranked schedule space
 # ----------------------------------------------------------------------
@@ -85,12 +71,9 @@ def _census_rank_block(task: tuple[int, int, int]) -> ClassCensus:
     """Worker: census the interleavings with ranks in ``[lo, hi)``."""
     ctx_id, lo, hi = task
     transactions, spec, budget = registry.resolve(ctx_id)
-    pairs = shared_prefix_rsgs(
-        spec,
-        interleavings_block(transactions, lo, hi),
-        engine=_warm_engine(ctx_id, spec),
+    return _census_schedules(
+        interleavings_block(transactions, lo, hi), spec, budget
     )
-    return _census_pairs(pairs, spec, budget)
 
 
 def census_exhaustive_parallel(
@@ -132,13 +115,10 @@ def census_exhaustive_parallel(
 # Population sweeps (random schedule lists)
 # ----------------------------------------------------------------------
 def _census_slice(task: tuple[int, int, int]) -> ClassCensus:
-    """Worker: census one window of the registered sorted population."""
+    """Worker: census one window of the registered population."""
     ctx_id, lo, hi = task
-    ordered, spec, budget = registry.resolve(ctx_id)
-    pairs = shared_prefix_rsgs(
-        spec, ordered[lo:hi], engine=_warm_engine(ctx_id, spec)
-    )
-    return _census_pairs(pairs, spec, budget)
+    population, spec, budget = registry.resolve(ctx_id)
+    return _census_schedules(population[lo:hi], spec, budget)
 
 
 def census_schedules(
@@ -151,33 +131,26 @@ def census_schedules(
 ) -> ClassCensus:
     """Census a schedule population across worker processes.
 
-    The population is sorted once (the prefix-sharing order the serial
-    path uses), registered as one shared context, and split into
+    The population is registered as one shared context and split into
     contiguous index windows; the ordered merge makes the result
-    identical to ``census(schedules, spec, shared_prefixes=True)``.
+    identical to the serial ``census(schedules, spec)``.
     """
     executor = ParallelExecutor(jobs)
-    ordered = sorted(schedules, key=_lex_key)
     tasks = _population_tasks(
-        ordered, spec, consistency_budget, executor.jobs, min_block
+        schedules, spec, consistency_budget, executor.jobs, min_block
     )
     if tasks is None:
-        return census(
-            ordered, spec, consistency_budget, shared_prefixes=True
-        )
+        return _census_schedules(schedules, spec, consistency_budget)
     return executor.map_reduce(
         _census_slice, tasks, ClassCensus.merge, ClassCensus()
     )
 
 
 def _containment_slice(task: tuple[int, int, int]) -> ContainmentReport:
-    """Worker: containment-check one window of the sorted population."""
+    """Worker: containment-check one window of the population."""
     ctx_id, lo, hi = task
-    ordered, spec, budget = registry.resolve(ctx_id)
-    pairs = shared_prefix_rsgs(
-        spec, ordered[lo:hi], engine=_warm_engine(ctx_id, spec)
-    )
-    return _containment_pairs(pairs, spec, budget)
+    population, spec, budget = registry.resolve(ctx_id)
+    return _containment_schedules(population[lo:hi], spec, budget)
 
 
 def check_containments_parallel(
@@ -188,43 +161,40 @@ def check_containments_parallel(
     jobs: int | None = 1,
     min_block: int | None = None,
 ) -> ContainmentReport:
-    """Containment check across worker processes (sorted population
+    """Containment check across worker processes (population
     registered once, contiguous index windows, ordered merge) —
-    identical to the ``shared_prefixes=True`` serial report."""
+    identical to the serial ``check_containments(schedules, spec)``."""
     executor = ParallelExecutor(jobs)
-    ordered = sorted(schedules, key=_lex_key)
     tasks = _population_tasks(
-        ordered, spec, consistency_budget, executor.jobs, min_block
+        schedules, spec, consistency_budget, executor.jobs, min_block
     )
     if tasks is None:
-        return check_containments(
-            ordered, spec, consistency_budget, shared_prefixes=True
-        )
+        return _containment_schedules(schedules, spec, consistency_budget)
     return executor.map_reduce(
         _containment_slice, tasks, ContainmentReport.merge, ContainmentReport()
     )
 
 
 def _population_tasks(
-    ordered: list[Schedule],
+    population: Sequence[Schedule],
     spec: RelativeAtomicitySpec,
     budget: int | None,
     workers: int,
     min_block: int | None,
 ) -> list[tuple[int, int, int]] | None:
-    """Flat ``(ctx_id, lo, hi)`` tasks over a sorted population.
+    """Flat ``(ctx_id, lo, hi)`` tasks over a population.
 
     ``None`` signals the caller to run inline: one block (or one
     worker) means the pool would only add overhead.
     """
     floor = MIN_POPULATION_BLOCK if min_block is None else min_block
-    blocks = plan_block_count(len(ordered), workers, min_block=floor)
+    blocks = plan_block_count(len(population), workers, min_block=floor)
     if workers <= 1 or blocks <= 1:
         return None
-    ctx_id = registry.register((tuple(ordered), spec, budget))
+    ctx_id = registry.register((tuple(population), spec, budget))
     return [
         (ctx_id, lo, hi)
-        for lo, hi in _windows(len(ordered), blocks)
+        for lo, hi in _windows(len(population), blocks)
     ]
 
 

@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 from repro.core.transactions import Transaction
 from repro.errors import ReproError
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan, random_plan
+from repro.obs.hist import Histogram
 from repro.service import wire
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.tenant import SPEC_PROTOCOLS
-from repro.sim.metrics import nearest_rank
 from repro.workloads.random_schedules import random_transactions
 
 __all__ = ["ChaosConfig", "ChaosReport", "run_chaos"]
@@ -412,7 +412,9 @@ async def run_chaos(
     )
     if len(set(committed)) != len(committed):  # pragma: no cover
         raise ReproError("duplicate commit acknowledgements")
-    latencies = sorted(
+    # Percentiles at the service metrics' power-of-two bucket
+    # resolution (upper bound, clamped to the observed maximum).
+    latencies = Histogram.from_values(
         o.latency_ms for o in outcomes if o.latency_ms is not None
     )
     errors: dict[str, int] = {}
@@ -433,7 +435,7 @@ async def run_chaos(
         survivors_match=list(cert["survivors"]) == committed,
         wall_s=wall,
         tx_per_s=(len(committed) / wall) if wall > 0 else 0.0,
-        p50_ms=nearest_rank(latencies, 50) if latencies else None,
-        p99_ms=nearest_rank(latencies, 99) if latencies else None,
+        p50_ms=latencies.percentile(50) if latencies.count else None,
+        p99_ms=latencies.percentile(99) if latencies.count else None,
         errors=errors,
     )

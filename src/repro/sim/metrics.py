@@ -15,8 +15,6 @@ percentiles.  Percentiles go through the fixed-boundary
 :class:`~repro.obs.hist.Histogram` — the same bucketed path the service
 latency metrics use — so they are exact integers, byte-stable across
 platforms, and mergeable across workers without shipping raw samples.
-The exact sorted-list :func:`nearest_rank` stays available for
-consumers holding full samples (chaos certification, benchmarks).
 """
 
 from __future__ import annotations
@@ -27,37 +25,11 @@ from statistics import mean
 from repro.core.schedules import Schedule
 from repro.obs.hist import Histogram
 
-__all__ = ["TransactionOutcome", "SimulationResult", "nearest_rank"]
+__all__ = ["TransactionOutcome", "SimulationResult"]
 
 #: Outcome statuses.
 COMMITTED = "committed"
 ABORTED = "aborted"
-
-
-def nearest_rank(values: list[int], percentile: float) -> int:
-    """The nearest-rank percentile of ``values`` (exact, no interpolation).
-
-    Deterministic and integer-valued for integer inputs, which keeps
-    campaign reports byte-identical across platforms.
-
-    Args:
-        values: the sample; must be non-empty.
-        percentile: the requested percentile, in the half-open interval
-            ``(0, 100]`` — matching the nearest-rank definition, whose
-            rank ``ceil(p/100 * n)`` is undefined at ``p = 0`` and is
-            exactly ``max(values)`` at ``p = 100``.
-
-    Raises:
-        ValueError: on an empty sample or a percentile outside
-            ``(0, 100]``.
-    """
-    if not values:
-        raise ValueError("percentile of an empty sequence")
-    if not 0 < percentile <= 100:
-        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-    ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * percentile // 100))
-    return ordered[int(rank) - 1]
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,11 +11,9 @@ and the exhaustive Lemma 1 / Theorem 1 agreement tests need.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
-from repro.core.atomicity import RelativeAtomicitySpec
 from repro.core.operations import Operation
-from repro.core.rsg import IncrementalRsg, RelativeSerializationGraph
 from repro.core.schedules import Schedule
 from repro.core.transactions import Transaction
 from repro.errors import InvalidTransactionError
@@ -26,8 +24,6 @@ __all__ = [
     "interleaving_blocks",
     "interleavings_block",
     "rank_interleaving",
-    "rsg_interleavings",
-    "shared_prefix_rsgs",
     "unrank_interleaving",
 ]
 
@@ -239,74 +235,3 @@ def interleaving_blocks(
         start += size
     return bounds
 
-
-def shared_prefix_rsgs(
-    spec: RelativeAtomicitySpec,
-    schedules: Iterable[Schedule],
-    *,
-    engine: IncrementalRsg | None = None,
-) -> Iterator[tuple[Schedule, RelativeSerializationGraph]]:
-    """Yield ``(schedule, RSG(schedule))`` pairs, sharing prefix work.
-
-    One :class:`~repro.core.rsg.IncrementalRsg` is kept alive across the
-    whole stream: between consecutive schedules the engine pops back to
-    the longest common prefix and pushes only the delta, so the cost of
-    classifying a schedule is proportional to how much it *differs* from
-    its predecessor rather than to its length squared.  The payoff is
-    large exactly when the stream is sorted — lexicographic enumeration
-    (:func:`rsg_interleavings`) or a sorted random population — and the
-    semantics are unchanged (each pair is a faithful RSG) for any order.
-
-    ``engine`` lets warm workers reuse one engine across many streams:
-    it must have been built for ``spec`` with ``maintain_reach=True``
-    and have the spec's transactions declared; it is reset (history
-    popped, declarations and allocated buffers kept) before streaming.
-
-    The yielded RSG *borrows* the engine's live graph: its ``graph``
-    (and anything derived from it) is only valid until the next
-    iteration step, which is exactly the census/containment access
-    pattern.  ``is_acyclic``, ``cycle``, and ``dependency`` stay valid
-    because they are materialized per yield.  For cyclic schedules the
-    reported witness is the cycle closed by the first refused
-    operation, a genuine cycle of the full RSG (monotonicity: arcs only
-    accumulate along a prefix).
-    """
-    if engine is None:
-        engine = IncrementalRsg(spec, maintain_reach=True)
-        for transaction in spec.transaction_list:
-            engine.add_transaction(transaction)
-    else:
-        engine.reset()
-    current: list[Operation] = []
-    for schedule in schedules:
-        ops = schedule.operations
-        keep = 0
-        limit = min(len(current), len(ops))
-        while keep < limit and current[keep] == ops[keep]:
-            keep += 1
-        while len(current) > keep:
-            engine.pop()
-            current.pop()
-        for op in ops[keep:]:
-            if engine.acyclic:
-                if not engine.try_push(op):
-                    engine.push_uncertified(op)
-            else:
-                engine.push_uncertified(op)
-            current.append(op)
-        yield schedule, engine.materialize(schedule)
-
-
-def rsg_interleavings(
-    transactions: Sequence[Transaction],
-    spec: RelativeAtomicitySpec,
-) -> Iterator[tuple[Schedule, RelativeSerializationGraph]]:
-    """Yield every schedule together with its RSG, sharing prefixes.
-
-    Consecutive schedules from :func:`all_interleavings` differ only in
-    a suffix, so running them through :func:`shared_prefix_rsgs` turns
-    the census's per-schedule O(n^2) closure-and-arcs rebuild into a
-    push/pop delta — the workhorse behind
-    :func:`~repro.analysis.classes.census_exhaustive`.
-    """
-    return shared_prefix_rsgs(spec, all_interleavings(transactions))

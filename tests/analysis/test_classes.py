@@ -1,6 +1,10 @@
 """Unit tests for the class census."""
 
+import json
+from pathlib import Path
+
 from repro.analysis.classes import census, census_exhaustive
+from repro.io.notation import parse_problem
 from repro.core.transactions import Transaction
 from repro.specs.builders import absolute_spec, uniform_spec
 from repro.workloads.enumerate import all_interleavings, count_interleavings
@@ -94,3 +98,23 @@ class TestCensus:
             "relatively serial, not relatively consistent"
             in result.witnesses
         )
+
+
+class TestFigure4Golden:
+    """The exhaustive census of Figure 4 (2520 interleavings) is pinned:
+    counts, and — since enumeration order is fixed — the exact
+    first-found witness schedules."""
+
+    def test_matches_the_checked_in_census(self):
+        repo = Path(__file__).resolve().parents[2]
+        problem = parse_problem((repo / "examples" / "figure4.txt").read_text())
+        result = census_exhaustive(problem.transactions, problem.spec, 100_000)
+        golden = json.loads(
+            (repo / "tests" / "golden" / "figure4_census.json").read_text()
+        )
+        witnesses = golden.pop("witnesses")
+        for name, count in golden.items():
+            assert getattr(result, name) == count, name
+        assert {
+            name: str(schedule) for name, schedule in result.witnesses.items()
+        } == witnesses

@@ -3,11 +3,10 @@
 
 import pytest
 
-from repro.core.dependency import DependencyRelation
 from repro.core.rsg import IncrementalRsg, RelativeSerializationGraph
 from repro.core.schedules import Schedule
 from repro.core.transactions import Transaction
-from repro.errors import InvalidScheduleError
+from repro.errors import GraphError, InvalidScheduleError
 from repro.specs.builders import absolute_spec, finest_spec
 from tests.core.test_rsg import _seeded_corpus
 
@@ -76,67 +75,73 @@ class TestIncrementalRsg:
             Transaction.from_notation(2, "r[x] w[x] r[y]"),
         ]
         spec = absolute_spec(txs)
-        engine = IncrementalRsg(spec, maintain_reach=True)
+        engine = IncrementalRsg(spec)
+        reference = IncrementalRsg(spec)
         for tx in txs:
             engine.add_transaction(tx)
+            reference.add_transaction(tx)
         for op in (txs[0][0], txs[1][0], txs[0][1]):
             assert engine.try_push(op)
+            assert reference.try_push(op)
+        baseline = _edge_set(engine.graph)
         assert not engine.try_push(txs[1][1])
         engine.push_uncertified(txs[1][1])
         assert not engine.acyclic
-        assert engine.witness is not None
         engine.push_uncertified(txs[1][2])
         assert not engine.acyclic  # extensions of a cyclic prefix stay cyclic
-        schedule = Schedule(txs, engine.history)
-        view = engine.materialize(schedule)
-        assert not view.is_acyclic
-        # Popping back above the first uncertified op clears the state.
-        engine.pop()
-        engine.pop()
+        assert engine.history == [txs[0][0], txs[1][0], txs[0][1],
+                                  txs[1][1], txs[1][2]]
+        # Uncertified operations add no arcs.
+        assert _edge_set(engine.graph) == baseline
+        with pytest.raises(GraphError):
+            engine.try_push(txs[1][2])
+        # Popping back above the first uncertified op restores exactly
+        # the state of an engine that never saw the cyclic suffix.
+        assert engine.pop() == txs[1][2]
+        assert not engine.acyclic
+        assert engine.pop() == txs[1][1]
         assert engine.acyclic
+        assert engine.history == reference.history
+        assert _edge_set(engine.graph) == _edge_set(reference.graph)
+        for tracker in ("_closed", "_hist_ids", "_last_write", "_last_of_tx"):
+            assert getattr(engine, tracker) == getattr(reference, tracker)
+        # An empty reads-since-write list reads the same as no entry
+        # (a popped read leaves one behind, a write stores one).
+        def reads(rsg):
+            return {k: v for k, v in rsg._reads_since_write.items() if v}
 
-    def test_materialized_dependency_matches_scratch(self):
-        txs, spec = _figure2_like()
-        engine = IncrementalRsg(spec, maintain_reach=True)
-        for tx in txs:
-            engine.add_transaction(tx)
-        order = [txs[0][0], txs[2][0], txs[1][0], txs[2][1]]
-        for op in order:
-            assert engine.try_push(op)
-        schedule = Schedule.prefix(txs, order)
-        dependency = engine.dependency_for(schedule)
-        scratch = DependencyRelation(schedule)
-        assert list(dependency.pairs()) == list(scratch.pairs())
+        assert reads(engine) == reads(reference)
+        assert not engine.try_push(txs[1][1])  # the refusal is stable
 
 
 class TestPrefixByPrefix:
-    """``IncrementalRsg(maintain_reach=True)`` against from-scratch
-    construction at every prefix of a seeded corpus, cyclic prefixes
-    (after ``push_uncertified``) included."""
+    """``IncrementalRsg`` against from-scratch construction at every
+    prefix of a seeded corpus: equal arcs while the prefix is acyclic,
+    and a refused push exactly where the from-scratch prefix turns
+    cyclic."""
 
     def test_every_prefix_matches_scratch(self):
-        cyclic_prefixes = 0
+        refused = 0
         for schedule, spec in _seeded_corpus(11, 150):
             txs = schedule.transaction_list
-            engine = IncrementalRsg(spec, maintain_reach=True)
+            engine = IncrementalRsg(spec)
             for tx in txs:
                 engine.add_transaction(tx)
             ops = schedule.operations
             for n, op in enumerate(ops, start=1):
-                if not (engine.acyclic and engine.try_push(op)):
-                    engine.push_uncertified(op)
-                prefix = Schedule.prefix(txs, ops[:n])
-                view = engine.materialize(prefix)
-                scratch = RelativeSerializationGraph(prefix, spec)
-                assert _edge_set(view.graph) == _edge_set(scratch.graph)
-                assert view.is_acyclic == scratch.is_acyclic
-                if not view.is_acyclic:
-                    cyclic_prefixes += 1
-                    witness = view.cycle
+                scratch = RelativeSerializationGraph(
+                    Schedule.prefix(txs, ops[:n]), spec
+                )
+                if not engine.try_push(op):
+                    assert not scratch.is_acyclic
+                    witness = engine.last_rejected_cycle
                     assert witness[0] == witness[-1]
                     for a, b in zip(witness, witness[1:]):
                         assert scratch.graph.has_edge(a, b)
-                assert list(engine.dependency_for(prefix).pairs()) == list(
-                    DependencyRelation(prefix).pairs()
-                )
-        assert cyclic_prefixes > 50  # the cyclic branch is exercised
+                    refused += 1
+                    break
+                assert scratch.is_acyclic
+                assert _edge_set(engine.graph) == _edge_set(scratch.graph)
+            else:
+                assert RelativeSerializationGraph(schedule, spec).is_acyclic
+        assert refused > 50  # the refusal branch is exercised

@@ -162,3 +162,10 @@ class TestFaultsFlags:
         assert outputs["1"] == outputs["2"]
         header = json.loads(outputs["1"][0].splitlines()[0])
         assert header["run"] == 0 and "seed" in header
+
+
+class TestCensusGolden:
+    def test_figure4_census_matches_the_golden(self, fig4_file, capsys):
+        assert main(["census", fig4_file]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / "figure4_census.txt").read_text()

@@ -45,6 +45,16 @@ class TestPercentiles:
         h = Histogram.from_values([5])
         assert h.percentile(99) == 5
 
+    def test_percentile_rejects_out_of_domain_requests(self):
+        h = Histogram.from_values([1, 2, 3])
+        for percentile in (0, -1, 100.1):
+            with pytest.raises(ValueError, match=r"\(0, 100\]"):
+                h.percentile(percentile)
+
+    def test_percentile_of_an_empty_histogram_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            Histogram().percentile(50)
+
     def test_rank_selection_across_buckets(self):
         h = Histogram.from_values([1] * 98 + [100, 100])
         assert h.percentile(50) == 1

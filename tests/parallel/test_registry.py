@@ -81,31 +81,3 @@ class TestPayloadSize:
         assert registry.payload_size(ctx_id) == len(
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         )
-
-
-class TestCached:
-    def test_factory_runs_once_per_key(self):
-        ctx_id = registry.register("ctx")
-        calls = []
-
-        def build():
-            calls.append(1)
-            return object()
-
-        first = registry.cached(ctx_id, "engine", build)
-        second = registry.cached(ctx_id, "engine", build)
-        assert first is second
-        assert len(calls) == 1
-
-    def test_tags_are_independent(self):
-        ctx_id = registry.register("ctx")
-        a = registry.cached(ctx_id, "rsg", object)
-        b = registry.cached(ctx_id, "certifier", object)
-        assert a is not b
-
-    def test_clear_drops_cached_objects(self):
-        ctx_id = registry.register("ctx")
-        stale = registry.cached(ctx_id, "engine", object)
-        registry.clear()
-        fresh_ctx = registry.register("ctx")
-        assert registry.cached(fresh_ctx, "engine", object) is not stale

@@ -14,8 +14,11 @@ from repro.parallel.sweeps import (
     census_schedules,
     check_containments_parallel,
 )
-from repro.specs.builders import uniform_spec
-from repro.workloads.random_schedules import random_schedules
+from repro.specs.builders import random_spec, uniform_spec
+from repro.workloads.random_schedules import (
+    random_schedules,
+    random_transactions,
+)
 
 
 def _txs():
@@ -44,11 +47,11 @@ class TestCensusParallel:
             assert _census_fields(parallel) == _census_fields(serial)
             assert parallel.witnesses == serial.witnesses
 
-    def test_population_census_matches_shared_prefix_serial(self):
+    def test_population_census_matches_serial(self):
         txs = _txs()
         spec = uniform_spec(txs, 1)
         population = random_schedules(txs, 50, random.Random(11))
-        serial = census(population, spec, shared_prefixes=True)
+        serial = census(population, spec)
         parallel = census(population, spec, jobs=2)
         assert _census_fields(parallel) == _census_fields(serial)
         assert parallel.witnesses == serial.witnesses
@@ -57,7 +60,7 @@ class TestCensusParallel:
         txs = _txs()
         spec = uniform_spec(txs, 1)
         population = random_schedules(txs, 3, random.Random(5))
-        serial = census(population, spec, shared_prefixes=True)
+        serial = census(population, spec)
         parallel = census(population, spec, jobs=16)
         assert _census_fields(parallel) == _census_fields(serial)
 
@@ -84,7 +87,7 @@ class TestByteEquality:
         txs = _txs()
         spec = uniform_spec(txs, 1)
         population = random_schedules(txs, 40, random.Random(3))
-        serial = census(population, spec, shared_prefixes=True)
+        serial = census(population, spec)
         parallel = census_schedules(
             population, spec, jobs=4, min_block=1
         )
@@ -94,7 +97,7 @@ class TestByteEquality:
         txs = _txs()
         spec = uniform_spec(txs, 1)
         population = random_schedules(txs, 40, random.Random(9))
-        serial = check_containments(population, spec, shared_prefixes=True)
+        serial = check_containments(population, spec)
         parallel = check_containments_parallel(
             population, spec, jobs=4, min_block=1
         )
@@ -123,12 +126,46 @@ class TestByteEquality:
         assert pickle.dumps(parallel) == pickle.dumps(serial)
 
 
+class TestJobCountInvariance:
+    """The default serial call is the reference: ``jobs=2`` and
+    ``jobs=4`` must reproduce it exactly, witnesses and their order
+    included, on populations whose schedules arrive in random order.
+
+    Compared field by field, not as pickles: a witness found in a later
+    block is an equal schedule whose transactions are not the same
+    objects as an earlier block's, which only changes the pickle memo.
+    """
+
+    def test_population_sweeps_match_default_serial(self):
+        for seed in range(10):
+            txs = random_transactions(3, 4, 3, seed=seed)
+            spec = random_spec(txs, 0.5, seed=seed)
+            population = random_schedules(txs, 80, seed=seed)
+            serial = census(population, spec, 20_000)
+            contained = check_containments(population, spec, 20_000)
+            for jobs in (2, 4):
+                result = census(population, spec, 20_000, jobs=jobs)
+                assert _census_fields(result) == _census_fields(serial)
+                assert result.witnesses == serial.witnesses
+                assert list(result.witnesses) == list(serial.witnesses)
+                report = check_containments(
+                    population, spec, 20_000, jobs=jobs
+                )
+                assert report.checked == contained.checked
+                assert report.undecided == contained.undecided
+                assert report.violations == contained.violations
+                assert report.proper_witnesses == contained.proper_witnesses
+                assert list(report.proper_witnesses) == list(
+                    contained.proper_witnesses
+                )
+
+
 class TestContainmentParallel:
     def test_report_identical_to_serial(self):
         txs = _txs()
         spec = uniform_spec(txs, 1)
         population = random_schedules(txs, 60, random.Random(7))
-        serial = check_containments(population, spec, shared_prefixes=True)
+        serial = check_containments(population, spec)
         parallel = check_containments(population, spec, jobs=2)
         assert parallel.checked == serial.checked
         assert parallel.undecided == serial.undecided

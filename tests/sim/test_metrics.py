@@ -116,49 +116,6 @@ class TestFaultAccounting:
 
 
 class TestWaitPercentiles:
-    def test_nearest_rank_small_samples(self):
-        from repro.sim.metrics import nearest_rank
-
-        values = [1, 2, 3, 4, 10]
-        assert nearest_rank(values, 50) == 3
-        assert nearest_rank(values, 90) == 10
-        assert nearest_rank(values, 99) == 10
-        assert nearest_rank(values, 100) == 10
-
-    def test_nearest_rank_is_order_insensitive(self):
-        from repro.sim.metrics import nearest_rank
-
-        assert nearest_rank([10, 1, 4, 2, 3], 50) == 3
-
-    def test_nearest_rank_single_element_any_percentile(self):
-        from repro.sim.metrics import nearest_rank
-
-        for percentile in (0.1, 1, 50, 99.9, 100):
-            assert nearest_rank([7], percentile) == 7
-
-    def test_nearest_rank_p100_is_exactly_the_maximum(self):
-        from repro.sim.metrics import nearest_rank
-
-        values = list(range(1, 42))
-        assert nearest_rank(values, 100) == max(values)
-
-    def test_nearest_rank_rejects_out_of_domain_percentiles(self):
-        import pytest
-
-        from repro.sim.metrics import nearest_rank
-
-        for percentile in (0, -1, 100.1):
-            with pytest.raises(ValueError, match=r"\(0, 100\]"):
-                nearest_rank([1, 2, 3], percentile)
-
-    def test_nearest_rank_rejects_empty_samples(self):
-        import pytest
-
-        from repro.sim.metrics import nearest_rank
-
-        with pytest.raises(ValueError, match="empty"):
-            nearest_rank([], 50)
-
     def test_wait_percentiles_keys_and_values(self):
         # Bucketed percentiles (repro.obs.hist.Histogram): waits of 2
         # and 3 share the [2, 3] power-of-two bucket, whose upper bound
