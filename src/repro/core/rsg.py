@@ -21,6 +21,17 @@ equivalent_relatively_serial_schedule` for the constructive half (a
 topological sort of an acyclic RSG is conflict-equivalent to the input and
 relatively serial).
 
+The offline graph lives in integer id-space from start to finish: the
+depends-on rows are bitsets over schedule positions, the arcs are
+``src * |V| + dst`` keys with an :class:`ArcKind` bitmask, and both the
+cycle search and the witness sort walk plain int successor lists.  The
+labelled :class:`~repro.graphs.digraph.DiGraph` (``graph``, ``arcs()``,
+``arc_kinds()``) is built only when a diagnostic asks for it.  Building
+costs one covering-set sweep for the closure, plus, per position, a visit
+to only the transactions that occur in its dependents row; what stays
+quadratic is the arc set itself, which grows with the number of
+dependent pairs.
+
 The ``include_*`` switches exist for the ablation experiments: Lynch and
 Farrag–Özsu used push-forward only (no B-arcs), and Figure 2 of the paper
 shows direct conflicts without transitive closure are unsound; both
@@ -30,6 +41,7 @@ weakened variants can be constructed and measured.
 from __future__ import annotations
 
 import enum
+import heapq
 from collections.abc import Sequence
 
 from repro.core.atomicity import RelativeAtomicitySpec
@@ -40,7 +52,6 @@ from repro.core.transactions import Transaction
 from repro.errors import CycleError, GraphError, InvalidSpecError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.incremental import FlatBatch, FlatPkGraph
-from repro.graphs.toposort import topological_sort
 
 __all__ = [
     "ArcKind",
@@ -116,25 +127,28 @@ class RelativeSerializationGraph:
         self._dependency = DependencyRelation(
             schedule, transitive=transitive_dependencies
         )
-        self._ops_table, self._arc_masks = self._build_arcs(
+        self._ops_table, self._id_at, self._arc_masks = self._build_arcs(
             include_f_arcs, include_b_arcs
         )
+        self._succ: list[list[int]] | None = None
         self._graph_cache: DiGraph | None = None
         self._cycle: list[Operation] | None | _Unset = _UNSET
 
     def _build_arcs(
         self, include_f_arcs: bool, include_b_arcs: bool
-    ) -> tuple[list[Operation], dict[int, int]]:
+    ) -> tuple[list[Operation], list[int], dict[int, int]]:
         """Compute the arc set in integer id-space.
 
         Every operation of every transaction gets a dense integer id
-        (``ops_table`` is the inverse map); an arc ``src -> dst`` is the
-        key ``src_id * len(ops_table) + dst_id`` in ``arc_masks``, whose
-        value ORs one bit per :class:`ArcKind` the arc carries.  Working
-        on ints instead of :class:`Operation` objects removes object
-        hashing from the O(n^2)-pair hot loop, and the mask dict dedups
-        the (heavily colliding) D/F/B triples before any graph exists —
-        the :class:`DiGraph` view is materialized lazily from this.
+        (``ops_table`` is the inverse map, and ``id_at[p]`` is the id of
+        the operation at schedule position ``p``); an arc ``src -> dst``
+        is the key ``src_id * len(ops_table) + dst_id`` in ``arc_masks``,
+        whose value ORs one bit per :class:`ArcKind` the arc carries.
+        Working on ints instead of :class:`Operation` objects removes
+        object hashing from the O(n^2)-pair hot loop, and the mask dict
+        dedups the (heavily colliding) D/F/B triples before any graph
+        exists — the :class:`DiGraph` view is materialized lazily from
+        this.
         """
         transactions = self._schedule.transactions
         ops_table: list[Operation] = []
@@ -161,26 +175,37 @@ class RelativeSerializationGraph:
             stx[p] = op.tx
             sidx[p] = op.index
             txmask[op.tx] |= 1 << p
+        # A transaction's rank is its place in ``txmask``; observers are
+        # visited in rank order so the arc insertion order (and with it
+        # the cycle witness) does not depend on how they were found.
+        rank = {tx_id: r for r, tx_id in enumerate(txmask)}
         # D-arcs plus their induced F- and B-arcs, one observing
         # transaction at a time: all dependents of position p inside
         # transaction j share the same PushForward source and the same
-        # PullBackward row, so both resolve once per (p, j).
+        # PullBackward row, so both resolve once per (p, j).  Only the
+        # transactions that occur in p's dependents row are visited:
+        # they are peeled off the row from its highest set bit (a free
+        # bit_length, no big-int negation), one transaction mask each.
         spec = self._spec
         dependency = self._dependency
         push_rows: dict[tuple[int, int], list[int]] = {}
         pull_rows: dict[tuple[int, int], list[int]] = {}
-        tx_items = list(txmask.items())
         get = masks.get
         for p in range(n):
             bits = dependency.dependents_bits(p)
             if not bits:
                 continue
             ptx = stx[p]
+            bits &= ~txmask[ptx]
+            observers: list[tuple[int, int, int]] = []
+            while bits:
+                j = stx[bits.bit_length() - 1]
+                deps = bits & txmask[j]
+                bits ^= deps
+                observers.append((rank[j], j, deps))
+            observers.sort()
             pkey = ids[p] * total
-            for j, jmask in tx_items:
-                deps = bits & jmask
-                if not deps or j == ptx:
-                    continue
+            for _, j, deps in observers:
                 if include_f_arcs:
                     row = push_rows.get((ptx, j))
                     if row is None:
@@ -211,7 +236,7 @@ class RelativeSerializationGraph:
                     if include_b_arcs:
                         key = pkey + brow[sidx[q]]
                         masks[key] = get(key, 0) | _B_BIT
-        return ops_table, masks
+        return ops_table, ids, masks
 
     def _build_graph(self) -> DiGraph:
         """Expand the id-space arc masks into the labelled DiGraph."""
@@ -230,13 +255,30 @@ class RelativeSerializationGraph:
         graph.add_labelled_edges(arcs)
         return graph
 
+    def _successors(self) -> list[list[int]]:
+        """Successor lists over the id-space arc set, built once per RSG
+        and shared by the cycle search and the witness sort.  Each list
+        follows ``_arc_masks`` insertion order (no duplicates: one key
+        per arc)."""
+        if self._succ is None:
+            total = len(self._ops_table)
+            succ: list[list[int]] = [[] for _ in range(total)]
+            for key in self._arc_masks:
+                src, dst = divmod(key, total)
+                succ[src].append(dst)
+            self._succ = succ
+        return self._succ
+
     def _cycle_from_masks(self) -> list[Operation] | None:
-        """Three-colour DFS directly over the id-space arc set."""
+        """Three-colour DFS directly over the id-space arc set.
+
+        Each node's successors are visited last-inserted first, through
+        a per-node cursor, so the shared successor lists stay intact.
+        """
         table = self._ops_table
         total = len(table)
-        succ: list[list[int]] = [[] for _ in range(total)]
-        for key in self._arc_masks:
-            succ[key // total].append(key % total)
+        succ = self._successors()
+        cursor = [len(targets) for targets in succ]
         colour = [0] * total  # 0 white, 1 grey, 2 black
         parent = [0] * total
         for root in range(total):
@@ -246,9 +288,11 @@ class RelativeSerializationGraph:
             stack = [root]
             while stack:
                 node = stack[-1]
-                pending = succ[node]
+                pending = cursor[node]
                 if pending:
-                    child = pending.pop()
+                    pending -= 1
+                    cursor[node] = pending
+                    child = succ[node][pending]
                     c = colour[child]
                     if c == 0:
                         colour[child] = 1
@@ -335,11 +379,19 @@ class RelativeSerializationGraph:
 
         Topologically sorts the (acyclic) RSG, breaking ties by the
         operation's position in the original schedule so the result stays
-        as close to ``S`` as the arcs allow.
+        as close to ``S`` as the arcs allow.  Kahn's algorithm runs
+        directly over the id-space successor lists with a heap of
+        schedule positions; the labelled :attr:`graph` is never built.
+        Positions are unique and the emitted set is always closed under
+        predecessors, so the order depends on the arc set alone: it is
+        the one :func:`~repro.graphs.toposort.topological_sort` gives on
+        :attr:`graph` with ``key=schedule.position``.
 
         Raises:
             CycleError: when the RSG is cyclic (``S`` is not relatively
                 serializable), carrying the witness cycle.
+            InvalidScheduleError: when ``S`` is a prefix that leaves an
+                operation carrying an arc unscheduled.
         """
         witness = self.cycle
         if witness is not None:
@@ -347,7 +399,34 @@ class RelativeSerializationGraph:
                 "RSG is cyclic; schedule is not relatively serializable",
                 cycle=witness,
             )
-        order = topological_sort(self.graph, key=self._schedule.position)
+        table = self._ops_table
+        succ = self._successors()
+        indegree = [0] * len(table)
+        for targets in succ:
+            for dst in targets:
+                indegree[dst] += 1
+        id_at = self._id_at
+        position_of = [-1] * len(table)
+        for p, i in enumerate(id_at):
+            position_of[i] = p
+        if len(id_at) != len(table):
+            # A prefix: an unscheduled operation that carries an arc has
+            # no position to sort by.
+            for i, p in enumerate(position_of):
+                if p < 0 and (succ[i] or indegree[i]):
+                    self._schedule.position(table[i])  # raises
+        ops = self._schedule.operations
+        # Ascending positions already form a heap.
+        ready = [p for p, i in enumerate(id_at) if not indegree[i]]
+        order: list[Operation] = []
+        while ready:
+            p = heapq.heappop(ready)
+            order.append(ops[p])
+            for dst in succ[id_at[p]]:
+                left = indegree[dst] - 1
+                indegree[dst] = left
+                if not left:
+                    heapq.heappush(ready, position_of[dst])
         return self._schedule.reordered(order)
 
     def __repr__(self) -> str:

@@ -1,12 +1,14 @@
 """Topological sorting for :class:`~repro.graphs.digraph.DiGraph`.
 
-The constructive half of Theorem 1 turns an acyclic relative serialization
-graph into an *equivalent relatively serial schedule* by topologically
-sorting its operations.  Any topological order works for the theorem; for
-reproducibility this module lets the caller supply a ``key`` so ties are
-broken deterministically (the RSG code passes the operation's position in
-the original schedule, producing the equivalent schedule "closest" to the
-input).
+Kahn's algorithm over a labelled digraph, with a caller-supplied ``key``
+so ties are broken deterministically.  Its callers are the classical
+conflict-serializability test (:mod:`repro.core.serializability`, which
+orders transactions by id) and the tests, which use it as an independent
+oracle for the RSG's witness: the constructive half of Theorem 1
+(:meth:`~repro.core.rsg.RelativeSerializationGraph.
+equivalent_relatively_serial_schedule`) sorts in integer id-space without
+building a :class:`DiGraph`, and must produce exactly the order this
+function gives on the RSG's labelled graph with ``key=schedule.position``.
 """
 
 from __future__ import annotations

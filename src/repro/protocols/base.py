@@ -257,9 +257,12 @@ class Scheduler(abc.ABC):
         state = self._state_of(tx_id)
         if state.committed:
             raise ProtocolError(f"cannot remove committed T{tx_id}")
-        ops = set(state.transaction.operations[: state.executed])
-        if ops:
-            self._history = [op for op in self._history if op not in ops]
+        # The history holds exactly this incarnation's executed prefix
+        # of tx_id (earlier incarnations were removed, and committed
+        # transactions never get here), so filtering on the id is
+        # exact and hashes no Operation.
+        if state.executed:
+            self._history = [op for op in self._history if op.tx != tx_id]
         state.executed = 0
         state.restarts += 1
         self._on_remove(tx_id)

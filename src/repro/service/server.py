@@ -18,7 +18,11 @@ synchronous per-tenant machinery in :mod:`~repro.service.tenant`:
   get :attr:`~repro.service.config.ServiceConfig.drain_timeout_s` to
   finish, stragglers are aborted-and-undone, the WAL is flushed, every
   tenant is certified, worker pools are torn down, and the process
-  exits 0 iff the survivor invariant held everywhere.
+  exits 0 iff the survivor invariant held everywhere.  The drain report
+  records each tenant's certification wall time (``certify_s``) and
+  whether SIGTERM-to-certified ran past the grace window
+  (``over_deadline``); the ``service.drain.certify_ms`` histogram
+  carries the drain's total certification time.
 """
 
 from __future__ import annotations
@@ -161,7 +165,8 @@ class RsrServer:
         self.admission.start_drain()
         self.metrics.inc("service.drains")
         loop = asyncio.get_running_loop()
-        grace_until = loop.time() + self.config.drain_timeout_s
+        started = loop.time()
+        grace_until = started + self.config.drain_timeout_s
         while loop.time() < grace_until and any(
             tenant.sessions for tenant in self.tenants.values()
         ):
@@ -188,12 +193,25 @@ class RsrServer:
             report["flight_dump"] = str(flight_dump)
         if self.config.certify_on_drain:
             certs = []
+            certify_s = 0.0
             for tenant in self.tenants.values():
                 async with tenant.lock:
+                    clock = time.perf_counter()
                     cert = tenant.certify()
-                certs.append(cert.to_dict())
+                    elapsed = time.perf_counter() - clock
+                certify_s += elapsed
+                certs.append({**cert.to_dict(), "certify_s": elapsed})
                 report["ok"] = report["ok"] and cert.ok
             report["certifications"] = certs
+            self.metrics.hist(
+                "service.drain.certify_ms", int(certify_s * 1000)
+            )
+        # SIGTERM-to-certified past the grace window: the drain overran
+        # the deadline it promises (lingering sessions, or a slow
+        # certificate), visible here without a profiler.
+        report["over_deadline"] = (
+            loop.time() - started > self.config.drain_timeout_s
+        )
         self.drain_report = report
         self.exit_code = 0 if report["ok"] else 1
         if self._server is not None:

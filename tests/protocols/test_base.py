@@ -297,3 +297,67 @@ class TestDiscard:
             elif scheduler.progress(tx_id) == len(program):
                 scheduler.finish(tx_id)
                 del live[tx_id]
+
+
+class TestRemoveFiltersByTransaction:
+    """``remove`` drops a victim's ops from the history by transaction
+    id; that must equal dropping its executed prefix as a set of
+    operations, over seeded restart and discard scripts."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_history_equals_the_set_based_filter(self, protocol, seed):
+        rng = random.Random(seed)
+
+        programs = {
+            tx_id: Transaction.from_notation(
+                tx_id,
+                " ".join(
+                    f"{rng.choice('rw')}[{rng.choice('abc')}]"
+                    for _ in range(rng.randint(1, 4))
+                ),
+            )
+            for tx_id in range(1, 9)
+        }
+        scheduler = make_scheduler(
+            protocol, absolute_spec(list(programs.values()))
+        )
+        for prog in programs.values():
+            scheduler.admit(prog)
+        live = dict(programs)
+        drops = 0
+
+        def drop(tx_id, for_good):
+            nonlocal drops
+            prog = live[tx_id]
+            gone = set(prog.operations[: scheduler.progress(tx_id)])
+            expected = [op for op in scheduler.history if op not in gone]
+            if for_good:
+                scheduler.discard(tx_id)
+                del live[tx_id]
+            else:
+                scheduler.remove(tx_id)
+            assert list(scheduler.history) == expected
+            drops += 1
+
+        for _ in range(300):
+            if not live:
+                break
+            tx_id = rng.choice(sorted(live))
+            roll = rng.random()
+            if roll < 0.05:
+                drop(tx_id, for_good=True)
+                continue
+            if roll < 0.1:
+                drop(tx_id, for_good=False)
+                continue
+            prog = live[tx_id]
+            outcome = scheduler.request(prog[scheduler.progress(tx_id)])
+            if outcome.decision is Decision.ABORT:
+                for victim in outcome.victims:
+                    if victim in live:
+                        drop(victim, for_good=rng.random() < 0.5)
+            elif scheduler.progress(tx_id) == len(prog):
+                scheduler.finish(tx_id)
+                del live[tx_id]
+        assert drops

@@ -427,6 +427,16 @@ class TestDrain:
                 assert report["ok"] is True
                 assert report["forced_aborts"] == 0
                 assert server.exit_code == 0
+                # The drain reports how long each certificate took and
+                # whether SIGTERM-to-certified overran the deadline.
+                assert report["over_deadline"] is False
+                for record in report["certifications"]:
+                    assert 0 <= record["certify_s"] < 2.0
+                drained = server.metrics.histogram("service.drain.certify_ms")
+                assert drained is not None and drained.count == 1
+                assert "service_drain_certify_ms_bucket" in (
+                    server.metrics.to_prometheus()
+                )
                 await c.close()
 
         asyncio.run(scenario())
